@@ -30,10 +30,12 @@ from .multiplicity import (
     an_multiplicity,
     bias,
     bias_oracle,
+    bias_vector,
     order_of_type,
     power_conjugacy,
     sn_multiplicity,
     sn_multiplicity_oracle,
+    sn_multiplicity_vector,
 )
 from .numtheory import jacobi
 from .partitions import (
@@ -85,10 +87,14 @@ def _criterion_2() -> tuple[bool, str]:
             M = math.prod(mu)
             square_M = math.isqrt(M) ** 2 == M
             squarefree_m = all(e == 1 for _, e in factorize(m))
+            vector = bias_vector(mu)
             for i in range(m):
                 r = bias(mu, i)
-                if r.value != bias_oracle(mu, i):
+                expected = bias_oracle(mu, i)
+                if r.value != expected:
                     return False, f"bias mismatch at mu={mu}, i={i}"
+                if vector[i].value != expected:
+                    return False, f"bias_vector mismatch at mu={mu}, i={i}"
                 if n > 1 and r.value * r.value >= M:
                     return False, f"|d| not < sqrt(M) at mu={mu}, i={i}"
                 checked += 1
@@ -104,7 +110,7 @@ def _criterion_3() -> tuple[bool, str]:
         for mu in partitions(n):
             m = order_of_type(mu)
             for lam in partitions(n):
-                entries = [sn_multiplicity(lam, mu, i) for i in range(m)]
+                entries = sn_multiplicity_vector(lam, mu).entries
                 for i in range(m):
                     if entries[i] != sn_multiplicity_oracle(lam, mu, i):
                         return False, f"oracle mismatch at lam={lam}, mu={mu}, i={i}"

@@ -7,13 +7,19 @@ coefficient
     a_i = (1/m) * sum over j mod m of chi(w^j) * zeta_m^(-i*j).
 
 Since chi(w^j) depends on j only through gcd(j, m), the sum collapses to
-divisors of m weighted by Ramanujan sums; that is the production path.
-A slower independent oracle reduces the same data modulo a cyclotomic
-polynomial instead.
+divisors d of m weighted by Ramanujan sums c_{m/d}(i); and since the
+characters of S_n are rational, a_i depends on i only through
+g = gcd(i, m).  The production path therefore evaluates chi once at each
+of the tau(m) power types w^d, solves a_g once for each divisor g of m,
+and broadcasts a_i = a_{gcd(i, m)}.  A slower independent oracle reduces
+the same data modulo a cyclotomic polynomial instead.
 
 For a split class (distinct odd parts) the plus and minus halves of the
 self-conjugate shape of matching hook type differ by a bias d_i, which has
-a closed form in terms of Gauss sums; bias() evaluates it exactly and
+a closed form in terms of Gauss sums: a global constant times one local
+factor per prime power p**f exactly dividing m, each depending only on
+i mod p**f.  bias() evaluates it exactly at one index, bias_vector() at
+every index from one table per prime over the residues mod p**f, and
 bias_oracle() recomputes the defining sum in floating point.
 """
 
@@ -26,7 +32,10 @@ from fractions import Fraction
 from functools import cache
 
 from .characters import TAG_NONE, AnClass, AnIrrep, mn_character
+from .errors import InternalCheckError
 from .numtheory import (
+    GaussPhase,
+    PHASE_ZERO,
     divisors,
     jacobi,
     p_adic_split,
@@ -48,8 +57,12 @@ from .partitions import (
 from . import perms
 
 
-class InternalCheckError(AssertionError):
-    """An identity that must hold by construction failed; indicates a bug."""
+def _power_type(mu: Partition, d: int) -> Partition:
+    parts: list[int] = []
+    for p in mu:
+        g = math.gcd(p, d)
+        parts.extend([p // g] * g)
+    return tuple(sorted(parts, reverse=True))
 
 
 def power_cycle_type(mu: Partition, d: int) -> Partition:
@@ -58,35 +71,54 @@ def power_cycle_type(mu: Partition, d: int) -> Partition:
     A part splits into gcd(part, d) cycles of length part/gcd(part, d).
 
     >>> power_cycle_type((15, 9, 3), 3)
-    (5, 3, 3, 3, 1, 1, 1)
+    (5, 5, 5, 3, 3, 3, 1, 1, 1)
     """
-    mu = check_partition(mu)
-    parts: list[int] = []
-    for p in mu:
-        g = math.gcd(p, d)
-        parts.extend([p // g] * g)
-    return tuple(sorted(parts, reverse=True))
+    return _power_type(check_partition(mu), d)
 
 
-def order_of_type(mu: Partition) -> int:
-    mu = check_partition(mu)
+def _order(mu: Partition) -> int:
     return math.lcm(*mu) if mu else 1
 
 
-def sn_multiplicity(lam: Partition, mu: Partition, i: int) -> int:
-    """Multiplicity of zeta_m^i as an eigenvalue of w_mu in the shape lam."""
+def order_of_type(mu: Partition) -> int:
+    return _order(check_partition(mu))
+
+
+def _check_pair(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("sizes differ")
-    m = order_of_type(mu)
-    total = 0
-    for d in divisors(m):
-        total += mn_character(lam, power_cycle_type(mu, d)) * ramanujan(m // d, i)
-    q, r = divmod(total, m)
-    if r != 0 or q < 0:
-        raise InternalCheckError(f"non-integral multiplicity for {lam} at {mu}, i={i}")
-    return q
+    return lam, mu
+
+
+def _gcd_multiplicities(lam: Partition, mu: Partition, gcds) -> dict[int, int]:
+    """a_g for each g in gcds, every g a divisor of the order m of mu.
+
+    chi is evaluated once at each of the tau(m) power types; each a_g is then
+    a sum of tau(m) Ramanujan terms.  lam and mu are trusted partitions of
+    the same size.
+    """
+    m = _order(mu)
+    divs = divisors(m)
+    chi = [mn_character(lam, _power_type(mu, d)) for d in divs]
+    out = {}
+    for g in gcds:
+        total = sum(c * ramanujan(m // d, g) for c, d in zip(chi, divs))
+        q, r = divmod(total, m)
+        if r != 0 or q < 0:
+            raise InternalCheckError(
+                f"non-integral multiplicity for {lam} at {mu}, gcd(i, m)={g}"
+            )
+        out[g] = q
+    return out
+
+
+def sn_multiplicity(lam: Partition, mu: Partition, i: int) -> int:
+    """Multiplicity of zeta_m^i as an eigenvalue of w_mu in the shape lam."""
+    lam, mu = _check_pair(lam, mu)
+    g = math.gcd(i, _order(mu))
+    return _gcd_multiplicities(lam, mu, (g,))[g]
 
 
 @dataclass(frozen=True)
@@ -106,10 +138,22 @@ class MultiplicityVector:
         }
 
 
+def _sn_entries(lam: Partition, mu: Partition) -> tuple[int, ...]:
+    m = _order(mu)
+    by_gcd = _gcd_multiplicities(lam, mu, divisors(m))
+    return tuple(by_gcd[math.gcd(i, m)] for i in range(m))
+
+
 def sn_multiplicity_vector(lam: Partition, mu: Partition) -> MultiplicityVector:
-    m = order_of_type(check_partition(mu))
-    entries = tuple(sn_multiplicity(lam, mu, i) for i in range(m))
-    return MultiplicityVector((format_partition(lam), format_partition(mu)), m, entries)
+    """All m multiplicities of w_mu in the shape lam, over the tau(m) divisors of m.
+
+    The characters of S_n are rational, so a_i depends only on gcd(i, m):
+    chi is evaluated at the tau(m) power types, a_g is solved once per
+    divisor g of m, and entry i is a_{gcd(i, m)}.
+    """
+    lam, mu = _check_pair(lam, mu)
+    entries = _sn_entries(lam, mu)
+    return MultiplicityVector((format_partition(lam), format_partition(mu)), len(entries), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +172,13 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     out = [0] * (len(num) - len(den) + 1)
     for k in range(len(out) - 1, -1, -1):
         c, r = divmod(num[k + len(den) - 1], den[-1])
-        assert r == 0
+        if r != 0:
+            raise InternalCheckError("leading coefficient does not divide exactly")
         out[k] = c
         for j, dj in enumerate(den):
             num[k + j] -= c * dj
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise InternalCheckError("polynomial division left a remainder")
     return out
 
 
@@ -230,6 +276,72 @@ class BiasResult:
         }
 
 
+# Local data of one prime at one residue r mod p**f: its condition, its
+# factor of the phase product (PHASE_ZERO when the condition fails) and its
+# factor of the magnitude numerator (p - 1 when p**f divides r, else 1).
+_Local = tuple[PrimeCondition, GaussPhase, int]
+
+
+class _BiasForm:
+    """The bias closed form for one distinct-odd cycle type.
+
+    It holds the global constant sqrt(eps*M)/m and the magnitude data, gives
+    the local factor of each prime at each residue, and combines one local
+    factor per prime into d_i.  bias() and bias_vector() share it.
+    """
+
+    def __init__(self, mu: Partition) -> None:
+        mu = check_partition(mu)
+        if not has_distinct_odd_parts(mu):
+            raise ValueError(f"bias is defined for distinct odd parts only: {mu}")
+        data = cycle_type_data(mu)
+        if data.epsilon is None:
+            raise InternalCheckError(f"no sign epsilon for distinct odd type {mu}")
+        odd_core = math.prod(pd.p for pd in data.primes[: data.s])
+        root = math.isqrt(data.M // odd_core)
+        if root * root * odd_core != data.M:
+            raise InternalCheckError("part product over odd-exponent primes is not square")
+        self.data = data
+        self.base = sqrt_phase(data.epsilon * data.M) * phase(Fraction(1, data.m))
+        self.root = root
+        self.even_core = math.prod(pd.p for pd in data.primes[data.s :])
+
+    def local(self, j: int, r: int) -> _Local:
+        """The local factor of the j-th prime p at residue r mod p**f.
+
+        Odd-exponent primes contribute p**(f-1) * (-u*m/p**f | p) * g(p);
+        even-exponent primes contribute -p**(f-1), times (1 - p) when p**f
+        divides r.
+        """
+        pd = self.data.primes[j]
+        odd_exponent = j < self.data.s
+        d, u = p_adic_split(r, pd.p, pd.f)
+        ok = d == pd.f - 1 if odd_exponent else d in (pd.f - 1, pd.f)
+        cond = PrimeCondition(pd.p, pd.f, d, u, ok)
+        if not ok:
+            return cond, PHASE_ZERO, 0
+        if odd_exponent:
+            h = self.data.m // pd.p**pd.f
+            factor = phase(pd.p ** (pd.f - 1) * jacobi(-u * h, pd.p)) * gauss_sum(pd.p)
+        else:
+            factor = phase(-(pd.p ** (pd.f - 1)))
+            if d == pd.f:
+                factor = factor * phase(1 - pd.p)
+        return cond, factor, pd.p - 1 if d == pd.f else 1
+
+    def result(self, i: int, local: list[_Local]) -> BiasResult:
+        """d_i from the local factors of i, one per prime, magnitude cross-checked."""
+        data = self.data
+        conditions = tuple(c for c, _, _ in local)
+        if not all(c.ok for c in conditions):
+            return BiasResult(data.mu, i % data.m, 0, 0, conditions)
+        value = phase_to_integer(phase_product([self.base, *(f for _, f, _ in local)]))
+        magnitude, r = divmod(self.root * math.prod(k for _, _, k in local), self.even_core)
+        if r != 0 or abs(value) != magnitude:
+            raise InternalCheckError(f"magnitude closed form disagrees at {data.mu}, i={i}")
+        return BiasResult(data.mu, i % data.m, value, magnitude, conditions)
+
+
 def bias(mu: Partition, i: int) -> BiasResult:
     """Exact bias between the split halves at eigenvalue index i.
 
@@ -238,48 +350,27 @@ def bias(mu: Partition, i: int) -> BiasResult:
     orientation of the defining Fourier sum, so each odd-exponent prime
     contributes p**(f-1) * (-u*m/p**f | p) * g(p).
     """
-    mu = check_partition(mu)
-    if not has_distinct_odd_parts(mu):
-        raise ValueError(f"bias is defined for distinct odd parts only: {mu}")
-    data = cycle_type_data(mu)
-    assert data.epsilon is not None
-    conditions = []
-    for j, pd in enumerate(data.primes):
-        d, u = p_adic_split(i, pd.p, pd.f)
-        ok = d == pd.f - 1 if j < data.s else d in (pd.f - 1, pd.f)
-        conditions.append(PrimeCondition(pd.p, pd.f, d, u, ok))
-    conditions = tuple(conditions)
-    if not all(c.ok for c in conditions):
-        return BiasResult(mu, i % data.m, 0, 0, conditions)
-
-    factors = [sqrt_phase(data.epsilon * data.M), phase(Fraction(1, data.m))]
-    for j, (pd, cond) in enumerate(zip(data.primes, conditions)):
-        if j < data.s:
-            h = data.m // pd.p**pd.f
-            factors.append(phase(pd.p ** (pd.f - 1) * jacobi(-cond.u * h, pd.p)))
-            factors.append(gauss_sum(pd.p))
-        else:
-            factors.append(phase(-(pd.p ** (pd.f - 1))))
-            if cond.d == pd.f:
-                factors.append(phase(1 - pd.p))
-    value = phase_to_integer(phase_product(factors))
-
-    odd_core = math.prod(pd.p for pd in data.primes[: data.s])
-    root = math.isqrt(data.M // odd_core)
-    if root * root * odd_core != data.M:
-        raise InternalCheckError("part product over odd-exponent primes is not square")
-    numer = root * math.prod(
-        pd.p - 1 for pd, c in zip(data.primes, conditions) if c.d == pd.f
-    )
-    magnitude, r = divmod(numer, math.prod(pd.p for pd in data.primes[data.s :]))
-    if r != 0 or abs(value) != magnitude:
-        raise InternalCheckError(f"magnitude closed form disagrees at {mu}, i={i}")
-    return BiasResult(mu, i % data.m, value, magnitude, conditions)
+    form = _BiasForm(mu)
+    primes = form.data.primes
+    return form.result(i, [form.local(j, i % pd.p**pd.f) for j, pd in enumerate(primes)])
 
 
 def bias_vector(mu: Partition) -> tuple[BiasResult, ...]:
-    m = order_of_type(check_partition(mu))
-    return tuple(bias(mu, i) for i in range(m))
+    """bias(mu, i) for every i mod m, from one residue table per prime power.
+
+    Each local factor depends on i only through i mod p**f, so the table of
+    prime p**f holds its factor at every residue; entry i combines the
+    table rows at i mod p**f (Chinese remaindering), at a cost of
+    O(sum of p**f + m) local factors and products instead of m full
+    evaluations.
+    """
+    form = _BiasForm(mu)
+    moduli = [pd.p**pd.f for pd in form.data.primes]
+    tables = [[form.local(j, r) for r in range(q)] for j, q in enumerate(moduli)]
+    return tuple(
+        form.result(i, [table[i % q] for table, q in zip(tables, moduli)])
+        for i in range(form.data.m)
+    )
 
 
 def bias_oracle(mu: Partition, i: int, tol: float = 1e-6) -> int:
@@ -292,7 +383,8 @@ def bias_oracle(mu: Partition, i: int, tol: float = 1e-6) -> int:
     if not has_distinct_odd_parts(mu):
         raise ValueError("bias oracle needs distinct odd parts")
     data = cycle_type_data(mu)
-    assert data.epsilon is not None
+    if data.epsilon is None:
+        raise InternalCheckError(f"no sign epsilon for distinct odd type {mu}")
     total = 0j
     for l in range(data.m):
         total += jacobi(l, data.M) * cmath.exp(-2j * math.pi * i * l / data.m)
@@ -305,6 +397,20 @@ def bias_oracle(mu: Partition, i: int, tol: float = 1e-6) -> int:
 
 # ---------------------------------------------------------------------------
 # alternating-group dispatch
+
+
+def _halve(rep: AnIrrep, cls: AnClass, i: int, a: int, d: int) -> int:
+    """(a +- d)/2 for a split half, the sign set by whether the tags agree."""
+    numer = a + d if rep.tag == cls.tag else a - d
+    q, r = divmod(numer, 2)
+    if r != 0 or q < 0:
+        raise InternalCheckError(f"half-multiplicity failed for {rep.label()} at {cls.label()}, i={i}")
+    return q
+
+
+def _own_type(rep: AnIrrep, cls: AnClass) -> bool:
+    """True when cls is a split class of the hook type of the split half rep."""
+    return bool(cls.tag) and phi(cls.mu) == rep.lam
 
 
 def an_multiplicity(rep: AnIrrep, cls: AnClass, i: int) -> int:
@@ -320,21 +426,26 @@ def an_multiplicity(rep: AnIrrep, cls: AnClass, i: int) -> int:
     a = sn_multiplicity(rep.lam, cls.mu, i)
     if rep.tag == TAG_NONE:
         return a
-    if cls.tag and phi(cls.mu) == rep.lam:
-        d = bias(cls.mu, i).value
-        numer = a + d if rep.tag == cls.tag else a - d
-    else:
-        numer = a
-    q, r = divmod(numer, 2)
-    if r != 0 or q < 0:
-        raise InternalCheckError(f"half-multiplicity failed for {rep.label()} at {cls.label()}, i={i}")
-    return q
+    d = bias(cls.mu, i).value if _own_type(rep, cls) else 0
+    return _halve(rep, cls, i, a, d)
 
 
 def an_multiplicity_vector(rep: AnIrrep, cls: AnClass) -> MultiplicityVector:
-    m = order_of_type(cls.mu)
-    entries = tuple(an_multiplicity(rep, cls, i) for i in range(m))
-    return MultiplicityVector((rep.label(), cls.label()), m, entries)
+    """All m multiplicities in an alternating-group irreducible.
+
+    The symmetric-group vector is built once; a split half at its own hook
+    type combines it with one bias_vector, anywhere else it halves evenly.
+    """
+    if rep.n != cls.n:
+        raise ValueError("size mismatch")
+    entries = _sn_entries(rep.lam, cls.mu)
+    if rep.tag != TAG_NONE:
+        if _own_type(rep, cls):
+            biases = [b.value for b in bias_vector(cls.mu)]
+        else:
+            biases = [0] * len(entries)
+        entries = tuple(_halve(rep, cls, i, a, d) for i, (a, d) in enumerate(zip(entries, biases)))
+    return MultiplicityVector((rep.label(), cls.label()), len(entries), entries)
 
 
 def power_conjugacy(mu: Partition, i: int) -> str:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+from .errors import InternalCheckError
 from .partitions import factorize
 
 
@@ -88,7 +89,8 @@ def ramanujan(q: int, i: int) -> int:
     if mu == 0:
         return 0
     val, rem = divmod(euler_phi(q), euler_phi(core))
-    assert rem == 0
+    if rem != 0:
+        raise InternalCheckError(f"phi({core}) does not divide phi({q})")
     return mu * val
 
 

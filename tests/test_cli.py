@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
+import altchar
 from altchar.characters import QuadValue
 from altchar.cli import main
 
@@ -176,3 +179,15 @@ def test_global_out_of_scope_attaches_brute_force():
     assert record["results"]["closed_form"]["is_global"] is None
     assert record["results"]["brute_force"]["is_global"] is False
     assert record["results"]["brute_force"]["witness"]["multiplicity"] == 0
+
+
+def test_selftest_checks_survive_optimized_mode():
+    """Exactness checks raise InternalCheckError, so -O strips none of them."""
+    src = str(Path(altchar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "altchar.cli", "--format", "json", "selftest", "--criteria", "1,3"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["passed"] == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from altchar import perms
-from altchar.characters import AnClass, AnIrrep, an_character, an_classes, an_irreps
+from altchar.characters import AnClass, AnIrrep, an_character, an_classes, an_irreps, irrep_splits
 from altchar.multiplicity import (
     an_multiplicity,
     an_multiplicity_vector,
@@ -84,8 +84,12 @@ def test_engine_equals_oracle(n):
     for mu in partitions(n):
         m = order_of_type(mu)
         for lam in partitions(n):
+            vec = sn_multiplicity_vector(lam, mu)
+            assert vec.m == len(vec.entries) == m
             for i in range(m):
-                assert sn_multiplicity(lam, mu, i) == sn_multiplicity_oracle(lam, mu, i)
+                expected = sn_multiplicity_oracle(lam, mu, i)
+                assert sn_multiplicity(lam, mu, i) == expected
+                assert vec.entries[i] == expected
 
 
 def test_trivial_shape_sees_only_eigenvalue_one():
@@ -99,6 +103,8 @@ def test_trivial_shape_sees_only_eigenvalue_one():
 def test_mismatched_weights_rejected():
     with pytest.raises(ValueError):
         sn_multiplicity((3, 1), (5,), 0)
+    with pytest.raises(ValueError):
+        sn_multiplicity_vector((3, 1), (5,))
 
 
 # --- the bias ----------------------------------------------------------------
@@ -111,6 +117,13 @@ def test_bias_worked_example():
     assert values[15] == (0, 0)
     assert values[3][1] == 3
     assert values[9][1] == 6
+
+
+def test_bias_vector_equals_the_single_index_bias():
+    for n in range(1, 26):
+        for mu in partitions(n):
+            if has_distinct_odd_parts(mu):
+                assert bias_vector(mu) == tuple(bias(mu, i) for i in range(order_of_type(mu)))
 
 
 def test_bias_on_a_three_cycle():
@@ -176,6 +189,20 @@ def test_own_type_splits_by_the_bias():
     rep = AnIrrep((2, 1), "+")
     assert [an_multiplicity(rep, AnClass((3,), "+"), i) for i in range(3)] == [0, 1, 0]
     assert [an_multiplicity(rep, AnClass((3,), "-"), i) for i in range(3)] == [0, 0, 1]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_split_vectors_equal_the_single_index_engine(n):
+    for lam in partitions(n):
+        if not irrep_splits(lam):
+            continue
+        plus, minus = AnIrrep(lam, "+"), AnIrrep(lam, "-")
+        for cls in an_classes(n):
+            halves = [an_multiplicity_vector(rep, cls) for rep in (plus, minus)]
+            for rep, vec in zip((plus, minus), halves):
+                assert vec.entries == tuple(an_multiplicity(rep, cls, i) for i in range(vec.m))
+            whole = sn_multiplicity_vector(lam, cls.mu).entries
+            assert tuple(a + b for a, b in zip(*(v.entries for v in halves))) == whole
 
 
 def test_split_pair_shares_counts_away_from_its_type():
