@@ -102,7 +102,19 @@ def irrep_splits(lam: Partition) -> bool:
     return sum(lam) >= 2 and is_self_conjugate(lam)
 
 
-def _parse_tag(label: str) -> tuple[Partition, str]:
+def parse_label(label: str) -> tuple[Partition, str]:
+    """Split a label like "3,3,2:+" into its partition and its split tag.
+
+    The tag is "+" or "-" after a colon, or "" when the label has none;
+    the partition part is read by parse_partition, so "" is the empty
+    partition.  Whether the tag fits the shape or type is left to AnIrrep
+    and AnClass.
+
+    >>> parse_label("3,3,2:+")
+    ((3, 3, 2), '+')
+    >>> parse_label("5,3")
+    ((5, 3), '')
+    """
     body, sep, tag = label.partition(":")
     mu = parse_partition(body)
     if not sep:
@@ -126,12 +138,12 @@ class AnClass:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mu", check_partition(self.mu))
         if not in_alternating(self.mu):
-            raise ValueError(f"cycle type {self.mu} is odd, not an alternating class")
+            raise ValueError(f"cycle type {format_partition(self.mu)} is odd, not an alternating class")
         if class_splits(self.mu):
             if self.tag not in (TAG_PLUS, TAG_MINUS):
-                raise ValueError(f"class {self.mu} splits; a ':+' or ':-' tag is required")
+                raise ValueError(f"class {format_partition(self.mu)} splits; a ':+' or ':-' tag is required")
         elif self.tag != TAG_NONE:
-            raise ValueError(f"class {self.mu} does not split; no tag allowed")
+            raise ValueError(f"class {format_partition(self.mu)} does not split; no tag allowed")
 
     @property
     def n(self) -> int:
@@ -146,7 +158,7 @@ class AnClass:
 
     @staticmethod
     def from_label(label: str) -> "AnClass":
-        mu, tag = _parse_tag(label)
+        mu, tag = parse_label(label)
         return AnClass(mu, tag)
 
 
@@ -167,11 +179,11 @@ class AnIrrep:
         if self.tag == TAG_NONE:
             object.__setattr__(self, "lam", max(lam, conjugate(lam)))
             if irrep_splits(lam):
-                raise ValueError(f"shape {lam} is self-conjugate; a ':+' or ':-' tag is required")
+                raise ValueError(f"shape {format_partition(lam)} is self-conjugate; a ':+' or ':-' tag is required")
         elif self.tag in (TAG_PLUS, TAG_MINUS):
             object.__setattr__(self, "lam", lam)
             if not irrep_splits(lam):
-                raise ValueError(f"shape {lam} does not split; no tag allowed")
+                raise ValueError(f"shape {format_partition(lam)} does not split; no tag allowed")
         else:
             raise ValueError(f"bad tag {self.tag!r}")
 
@@ -191,7 +203,7 @@ class AnIrrep:
 
     @staticmethod
     def from_label(label: str) -> "AnIrrep":
-        lam, tag = _parse_tag(label)
+        lam, tag = parse_label(label)
         return AnIrrep(lam, tag)
 
 

@@ -6,23 +6,16 @@ here.  The verification suite replays every list against the engine, so a
 transcription slip in a family would surface as a test failure, not as a
 silent wrong answer.
 
-Rule identifiers double as provenance strings in CLI output and JSON
-exports.
+Rule identifiers double as provenance strings: the CLI prints them as the
+rule behind each verdict or gap, in every output format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import AnClass, AnIrrep, an_classes, an_irreps
-from .partitions import (
-    Partition,
-    check_partition,
-    format_partition,
-    partitions,
-    sn_parity,
-)
-from . import multiplicity
+from .characters import AnClass, AnIrrep
+from .partitions import Partition, check_partition, sn_parity
 
 
 def _hook_with_two(n: int) -> Partition:
@@ -170,66 +163,3 @@ def n_cycle_gaps(n: int) -> tuple[NCycleGap, ...]:
 
 def n_cycle_gap_set(n: int) -> frozenset[tuple[Partition, int]]:
     return frozenset((g.lam, g.i) for g in n_cycle_gaps(n))
-
-
-# ---------------------------------------------------------------------------
-# full minimal polynomial (all m-th roots of unity realized)
-
-
-def full_minimal_polynomial_sn(lam: Partition, mu: Partition) -> bool:
-    """True when w_mu realizes every m-th root of unity in shape lam."""
-    vec = multiplicity.sn_multiplicity_vector(lam, mu)
-    return all(e > 0 for e in vec.entries)
-
-
-def full_minimal_polynomial_an(rep: AnIrrep, cls: AnClass) -> bool:
-    vec = multiplicity.an_multiplicity_vector(rep, cls)
-    return all(e > 0 for e in vec.entries)
-
-
-# ---------------------------------------------------------------------------
-# JSON export of the rule catalog
-
-
-def exception_catalog(n: int | None = None) -> dict:
-    """The exception lists as data, with rule identifiers as provenance.
-
-    With n given, the parameterized families are instantiated at n.
-    """
-    catalog: dict = {
-        "sn_sporadic": [
-            {"lam": format_partition(lam), "mu": format_partition(mu), "rule": rule}
-            for (lam, mu), rule in sorted(_SN_SPORADIC.items())
-        ],
-        "an_sporadic": [
-            {"lam": format_partition(lam), "mu": format_partition(mu), "rule": rule}
-            for (lam, mu), rule in sorted(_AN_SPORADIC.items())
-        ],
-        "sn_families": [
-            "sn:sign-at-odd-class",
-            "sn:standard-at-n-cycle",
-            "sn:twisted-standard-at-n-cycle",
-            "sn:two-column-at-near-cycle",
-        ],
-        "an_families": ["an:standard-at-n-cycle"],
-    }
-    if n is not None:
-        instantiated = []
-        for lam in partitions(n):
-            for mu in partitions(n):
-                rule = invariant_failure_sn(lam, mu)
-                if rule:
-                    instantiated.append(
-                        {"lam": format_partition(lam), "mu": format_partition(mu), "rule": rule}
-                    )
-        catalog["sn_at_n"] = instantiated
-        catalog["an_at_n"] = [
-            {"irrep": rep.label(), "class": cls.label(), "rule": rule}
-            for rep in an_irreps(n)
-            for cls in an_classes(n)
-            if (rule := invariant_failure_an(rep, cls))
-        ]
-        catalog["n_cycle_gaps"] = [
-            {"lam": format_partition(g.lam), "i": g.i, "rule": g.rule} for g in n_cycle_gaps(n)
-        ]
-    return catalog

@@ -5,6 +5,10 @@ provenance -- as human-readable text (default), JSON, or CSV.  JSON output is
 byte-identical across runs for identical inputs; wall-clock timing is only
 attached when --timing is passed.  Exit codes: 0 success, 1 internal check
 failure, 2 bad input.
+
+Every partition-valued option (--irrep, --class, --mu) is read by
+characters.parse_label and validated once, in _operands, before any
+engine runs.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .characters import (
     character_table_an,
     class_splits,
     irrep_splits,
+    parse_label,
 )
 from .classify import (
     has_invariant_an,
@@ -36,19 +41,13 @@ from .classify import (
 )
 from .global_classes import BRUTE_FORCE_BOUND, global_brute_force, is_global_class
 from .multiplicity import (
-    an_multiplicity,
     an_multiplicity_vector,
     bias,
     bias_vector,
     power_conjugacy,
-    sn_multiplicity,
     sn_multiplicity_vector,
 )
-from .partitions import (
-    InvalidPartitionError,
-    format_partition,
-    parse_partition,
-)
+from .partitions import InvalidPartitionError, format_partition
 
 CLOSED_FORM_BOUND = 30
 
@@ -82,36 +81,46 @@ def _check_bound(n: int, bound: int, what: str, args) -> None:
         )
 
 
-def _split_label(label: str) -> tuple[tuple[int, ...], str]:
-    body, sep, tag = label.partition(":")
-    parts = parse_partition(body)
-    if sep and tag not in ("+", "-"):
-        raise CliError(f"bad split tag in {label!r}; expected ':+' or ':-'")
-    return parts, tag
+def _operands(args, halves: bool = False) -> list[list]:
+    """Parse the partition-valued options of args, each one validated once.
 
-
-def _an_irreps_for(label: str, allow_untagged: bool) -> list[AnIrrep]:
-    lam, tag = _split_label(label)
-    if irrep_splits(lam) and not tag:
-        if not allow_untagged:
-            raise CliError(
-                f"shape {format_partition(lam)} is self-conjugate; spell the half as "
-                f"'{format_partition(lam)}:+' or ':-'"
-            )
-        return [AnIrrep(lam, "+"), AnIrrep(lam, "-")]
-    return [AnIrrep(lam, tag)]
-
-
-def _an_classes_for(label: str, allow_untagged: bool) -> list[AnClass]:
-    mu, tag = _split_label(label)
-    if class_splits(mu) and not tag:
-        if not allow_untagged:
-            raise CliError(
-                f"class {format_partition(mu)} splits; spell the half as "
-                f"'{format_partition(mu)}:+' or ':-'"
-            )
-        return [AnClass(mu, "+"), AnClass(mu, "-")]
-    return [AnClass(mu, tag)]
+    The options present among --irrep, --class and --mu are read, in that
+    order, by characters.parse_label.  Every operand must be a partition of
+    some n >= 1 within the closed-form bound, and all must share that n.
+    Split tags are accepted only with --group an, where each operand becomes
+    an AnIrrep or AnClass; elsewhere it stays a plain partition.  Each
+    operand yields a list: its one value, or with halves set, both halves
+    of an untagged shape or type that splits.
+    """
+    an = getattr(args, "group", None) == "an"
+    labels = []
+    for option, attr, kind in (
+        ("--irrep", "irrep", AnIrrep),
+        ("--class", "cls", AnClass),
+        ("--mu", "mu", AnClass),
+    ):
+        text = getattr(args, attr, None)
+        if text is None:
+            continue
+        parts, tag = parse_label(text)
+        if not parts:
+            raise CliError(f"{option} is empty; it must be a partition of some n >= 1")
+        if tag and not an:
+            raise CliError("split tags only make sense with --group an")
+        labels.append((parts, tag, kind))
+    n = sum(labels[0][0])
+    _check_bound(n, CLOSED_FORM_BOUND, "closed-form", args)
+    if any(sum(parts) != n for parts, _, _ in labels):
+        raise CliError("the shape and the cycle type must partition the same n")
+    if not an:
+        return [[parts] for parts, _, _ in labels]
+    splits = {AnIrrep: irrep_splits, AnClass: class_splits}
+    return [
+        [kind(parts, "+"), kind(parts, "-")]
+        if halves and not tag and splits[kind](parts)
+        else [kind(parts, tag)]
+        for parts, tag, kind in labels
+    ]
 
 
 def _unanimous(verdicts: list, what: str):
@@ -126,49 +135,29 @@ def _unanimous(verdicts: list, what: str):
 
 def _cmd_eigmult(args) -> Output:
     inputs = {"group": args.group, "irrep": args.irrep, "class": args.cls, "index": args.i}
-    if args.group == "sn":
-        lam, tag = _split_label(args.irrep)
-        mu, ctag = _split_label(args.cls)
-        if tag or ctag:
-            raise CliError("split tags only make sense with --group an")
-        _check_bound(sum(lam), CLOSED_FORM_BOUND, "closed-form", args)
-        if sum(lam) != sum(mu):
-            raise CliError("the shape and the cycle type must partition the same n")
-        vec = sn_multiplicity_vector(lam, mu)
-        single = None if args.i is None else sn_multiplicity(lam, mu, args.i)
-    else:
-        rep = _an_irreps_for(args.irrep, allow_untagged=False)[0]
-        cls = _an_classes_for(args.cls, allow_untagged=False)[0]
-        _check_bound(rep.n, CLOSED_FORM_BOUND, "closed-form", args)
-        if rep.n != cls.n:
-            raise CliError("the shape and the cycle type must partition the same n")
-        vec = an_multiplicity_vector(rep, cls)
-        single = None if args.i is None else an_multiplicity(rep, cls, args.i)
+    [irrep], [cls] = _operands(args)
+    engine = sn_multiplicity_vector if args.group == "sn" else an_multiplicity_vector
+    vec = engine(irrep, cls)
     results = vec.json_dict()
-    if args.i is not None:
-        results["index"] = args.i % vec.m
-        results["entry"] = single
-    out_rows = (
-        [[args.i % vec.m, single]]
-        if args.i is not None
-        else [[i, a] for i, a in enumerate(vec.entries)]
-    )
     text = [f"eigenvalue multiplicities for {vec.owner[0]} at class {vec.owner[1]} (order {vec.m})"]
-    if args.i is not None:
-        text.append(f"  a_{args.i % vec.m} = {single}")
-    else:
+    if args.i is None:
+        rows = [[i, a] for i, a in enumerate(vec.entries)]
         text.append("  " + " ".join(str(a) for a in vec.entries))
+    else:
+        k = args.i % vec.m
+        results["index"], results["entry"] = k, vec.entries[k]
+        rows = [[k, vec.entries[k]]]
+        text.append(f"  a_{k} = {vec.entries[k]}")
     return Output(
         _record("eigmult", inputs, results, "divisor-sum engine over power classes"),
         ["index", "multiplicity"],
-        out_rows,
+        rows,
         text,
     )
 
 
 def _cmd_bias(args) -> Output:
-    mu = parse_partition(args.mu)
-    _check_bound(sum(mu), CLOSED_FORM_BOUND, "closed-form", args)
+    [[mu]] = _operands(args)
     inputs = {"mu": args.mu, "index": args.i}
     if args.i is not None:
         results = [bias(mu, args.i)]
@@ -189,23 +178,13 @@ def _cmd_bias(args) -> Output:
 
 def _cmd_invariant(args) -> Output:
     inputs = {"group": args.group, "irrep": args.irrep, "class": args.cls}
+    reps, classes = _operands(args, halves=True)
     if args.group == "sn":
-        lam, tag = _split_label(args.irrep)
-        mu, ctag = _split_label(args.cls)
-        if tag or ctag:
-            raise CliError("split tags only make sense with --group an")
-        _check_bound(sum(lam), CLOSED_FORM_BOUND, "closed-form", args)
-        if sum(lam) != sum(mu):
-            raise CliError("the shape and the cycle type must partition the same n")
+        [lam], [mu] = reps, classes
         verdict = has_invariant_sn(lam, mu)
         rule = invariant_failure_sn(lam, mu)
         labels = (format_partition(lam), format_partition(mu))
     else:
-        reps = _an_irreps_for(args.irrep, allow_untagged=True)
-        classes = _an_classes_for(args.cls, allow_untagged=True)
-        _check_bound(reps[0].n, CLOSED_FORM_BOUND, "closed-form", args)
-        if reps[0].n != classes[0].n:
-            raise CliError("the shape and the cycle type must partition the same n")
         pairs = [(r, c) for r in reps for c in classes]
         verdict = _unanimous([has_invariant_an(r, c) for r, c in pairs], "the verdict")
         rule = _unanimous([invariant_failure_an(r, c) for r, c in pairs], "the rule")
@@ -225,16 +204,12 @@ def _cmd_invariant(args) -> Output:
 
 def _cmd_unisingular(args) -> Output:
     inputs = {"group": args.group, "irrep": args.irrep}
+    [reps] = _operands(args, halves=True)
     if args.group == "sn":
-        lam, tag = _split_label(args.irrep)
-        if tag:
-            raise CliError("split tags only make sense with --group an")
-        _check_bound(sum(lam), CLOSED_FORM_BOUND, "closed-form", args)
+        [lam] = reps
         verdict = unisingular_sn(lam)
         label = format_partition(lam)
     else:
-        reps = _an_irreps_for(args.irrep, allow_untagged=True)
-        _check_bound(reps[0].n, CLOSED_FORM_BOUND, "closed-form", args)
         verdict = _unanimous([unisingular_an(r) for r in reps], "the verdict")
         label = args.irrep
     results = {"unisingular": verdict}
@@ -272,8 +247,7 @@ def _cmd_swanson(args) -> Output:
 
 
 def _cmd_power_conj(args) -> Output:
-    mu = parse_partition(args.mu)
-    _check_bound(sum(mu), CLOSED_FORM_BOUND, "closed-form", args)
+    [[mu]] = _operands(args)
     verdict = power_conjugacy(mu, args.i)
     inputs = {"mu": args.mu, "index": args.i}
     results = {"mu": format_partition(mu), "index": args.i, "verdict": verdict}
@@ -288,9 +262,8 @@ def _cmd_power_conj(args) -> Output:
 
 
 def _cmd_global(args) -> Output:
-    mu = parse_partition(args.mu)
+    [[mu]] = _operands(args)
     n = sum(mu)
-    _check_bound(n, CLOSED_FORM_BOUND, "closed-form", args)
     closed = is_global_class(mu)
     attach_brute = args.verify or closed.is_global is None
     brute = None

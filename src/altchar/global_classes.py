@@ -298,32 +298,3 @@ def global_brute_force(mu: Partition, bound: int = BRUTE_FORCE_BOUND) -> GlobalV
         method,
         (rep.label(), least),
     )
-
-
-# ---------------------------------------------------------------------------
-# the symmetric-group analogue
-
-
-def sundaram_is_global_sn(mu: Partition) -> bool:
-    """Closed form at the symmetric-group level: >= 2 distinct odd parts.
-
-    (Not asserted at n = 4 or 8, which the classification excludes.)
-    """
-    mu = check_partition(mu)
-    return len(mu) >= 2 and all(p % 2 == 1 for p in mu) and len(set(mu)) == len(mu)
-
-
-def sn_global_brute_force(mu: Partition) -> bool:
-    """Symmetric-group verdict via type-distribution character sums."""
-    mu = check_partition(mu)
-    n = sum(mu)
-    dist = centralizer_type_distribution(mu)
-    size = centralizer_order_sn(mu)
-    for lam in partitions(n):
-        total = sum(count * mn_character(lam, t) for t, count in dist.items())
-        value, rem = divmod(total, size)
-        if rem != 0 or value < 0:
-            raise ArithmeticError("inner product not a non-negative integer")
-        if value == 0:
-            return False
-    return True

@@ -35,16 +35,16 @@ from .characters import TAG_NONE, AnClass, AnIrrep, mn_character
 from .errors import InternalCheckError
 from .numtheory import (
     GaussPhase,
-    PHASE_ZERO,
     divisors,
     jacobi,
     p_adic_split,
     phase,
     phase_product,
     phase_to_integer,
-    gauss_sum,
     ramanujan,
     sqrt_phase,
+    twisted_sum,
+    unit_sum,
 )
 from .partitions import (
     Partition,
@@ -309,24 +309,20 @@ class _BiasForm:
     def local(self, j: int, r: int) -> _Local:
         """The local factor of the j-th prime p at residue r mod p**f.
 
-        Odd-exponent primes contribute p**(f-1) * (-u*m/p**f | p) * g(p);
-        even-exponent primes contribute -p**(f-1), times (1 - p) when p**f
-        divides r.
+        Odd-exponent primes contribute the twisted sum at -r*m/p**f, which
+        is p**(f-1) * (-u*m/p**f | p) * g(p) or zero; even-exponent primes
+        contribute the unit sum at r.  The prime passes where its factor
+        is nonzero.
         """
         pd = self.data.primes[j]
-        odd_exponent = j < self.data.s
-        d, u = p_adic_split(r, pd.p, pd.f)
-        ok = d == pd.f - 1 if odd_exponent else d in (pd.f - 1, pd.f)
-        cond = PrimeCondition(pd.p, pd.f, d, u, ok)
-        if not ok:
-            return cond, PHASE_ZERO, 0
-        if odd_exponent:
-            h = self.data.m // pd.p**pd.f
-            factor = phase(pd.p ** (pd.f - 1) * jacobi(-u * h, pd.p)) * gauss_sum(pd.p)
+        if j < self.data.s:
+            factor = twisted_sum(pd.p, pd.f, -(self.data.m // pd.p**pd.f) * r)
         else:
-            factor = phase(-(pd.p ** (pd.f - 1)))
-            if d == pd.f:
-                factor = factor * phase(1 - pd.p)
+            factor = phase(unit_sum(pd.p, pd.f, r))
+        d, u = p_adic_split(r, pd.p, pd.f)
+        cond = PrimeCondition(pd.p, pd.f, d, u, not factor.is_zero())
+        if not cond.ok:
+            return cond, factor, 0
         return cond, factor, pd.p - 1 if d == pd.f else 1
 
     def result(self, i: int, local: list[_Local]) -> BiasResult:

@@ -158,13 +158,6 @@ def phi(mu: Partition) -> Partition:
     return from_frobenius(FrobeniusCoords(arms, arms))
 
 
-def diagonal_hooks(lam: Partition) -> tuple[int, ...]:
-    """Hook lengths of the diagonal cells (i, i)."""
-    lam = check_partition(lam)
-    fc = to_frobenius(lam)
-    return tuple(a + b + 1 for a, b in zip(fc.arms, fc.legs))
-
-
 @cache
 def dimension(lam: Partition) -> int:
     """Number of standard Young tableaux of shape lam (hook length formula)."""

@@ -7,8 +7,6 @@ tuple-out and need no classes.
 
 from __future__ import annotations
 
-import math
-
 from .partitions import Partition, check_partition
 
 Perm = tuple[int, ...]
@@ -126,18 +124,3 @@ def conjugator(a: Perm, b: Perm) -> Perm | None:
             for x, y in zip(ca, cb):
                 rho[x] = y
     return check_perm(rho)
-
-
-def even_conjugacy_sign(a: Perm, b: Perm) -> int:
-    """Sign of the canonical conjugator from a to b (must be conjugate)."""
-    rho = conjugator(a, b)
-    if rho is None:
-        raise ValueError("permutations are not conjugate")
-    return sign(rho)
-
-
-def multiplication_perm(i: int, modulus: int) -> Perm:
-    """The permutation x -> i*x mod modulus on {0, ..., modulus-1}."""
-    if math.gcd(i, modulus) != 1:
-        raise ValueError("i must be a unit modulo the modulus")
-    return tuple((i * x) % modulus for x in range(modulus))

@@ -1,4 +1,7 @@
-"""Shared hypothesis strategies drawn from the exact partition enumerator."""
+"""Shared hypothesis strategies drawn from the exact partition enumerator,
+and test-only helpers that more than one test module uses."""
+
+import math
 
 from hypothesis import strategies as st
 
@@ -30,3 +33,10 @@ def shape_type_pairs(draw, max_n: int = 9):
 def small_perms(draw, max_n: int = 8):
     n = draw(st.integers(min_value=1, max_value=max_n))
     return tuple(draw(st.permutations(range(n))))
+
+
+def multiplication_perm(i: int, modulus: int) -> tuple[int, ...]:
+    """The permutation x -> i*x mod modulus on {0, ..., modulus-1}."""
+    if math.gcd(i, modulus) != 1:
+        raise ValueError("i must be a unit modulo the modulus")
+    return tuple((i * x) % modulus for x in range(modulus))

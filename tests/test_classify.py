@@ -1,12 +1,7 @@
-import json
-
 import pytest
 
 from altchar.characters import an_classes, an_irreps
 from altchar.classify import (
-    exception_catalog,
-    full_minimal_polynomial_an,
-    full_minimal_polynomial_sn,
     has_invariant_an,
     has_invariant_sn,
     invariant_failure_an,
@@ -16,7 +11,13 @@ from altchar.classify import (
     unisingular_an,
     unisingular_sn,
 )
-from altchar.multiplicity import an_multiplicity, order_of_type, sn_multiplicity
+from altchar.multiplicity import (
+    an_multiplicity,
+    an_multiplicity_vector,
+    order_of_type,
+    sn_multiplicity,
+    sn_multiplicity_vector,
+)
 from altchar.partitions import partitions
 
 
@@ -98,11 +99,12 @@ def test_gap_rules_for_small_cases():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_full_minimal_polynomial_sn(n):
+    """Every m-th root of unity occurs: the vector and the single-index engine agree."""
     for lam in partitions(n):
         for mu in partitions(n):
             m = order_of_type(mu)
             brute = all(sn_multiplicity(lam, mu, i) > 0 for i in range(m))
-            assert full_minimal_polynomial_sn(lam, mu) == brute
+            assert all(e > 0 for e in sn_multiplicity_vector(lam, mu).entries) == brute
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -111,12 +113,4 @@ def test_full_minimal_polynomial_an(n):
         for cls in an_classes(n):
             m = order_of_type(cls.mu)
             brute = all(an_multiplicity(rep, cls, i) > 0 for i in range(m))
-            assert full_minimal_polynomial_an(rep, cls) == brute
-
-
-def test_exception_catalog_serializes():
-    catalog = exception_catalog(8)
-    assert json.loads(json.dumps(catalog)) == catalog
-    assert {"sn_sporadic", "an_sporadic", "sn_at_n", "an_at_n", "n_cycle_gaps"} <= set(catalog)
-    assert any(e["rule"] == "an:(4,4)-at-(5,3)" for e in catalog["an_at_n"])
-    assert any(e["rule"] == "sn:(2,2,2,2)-at-(5,3)" for e in catalog["sn_at_n"])
+            assert all(e > 0 for e in an_multiplicity_vector(rep, cls).entries) == brute

@@ -12,8 +12,9 @@ import pytest
 from jsonschema import validate
 
 import altchar
-from altchar.characters import QuadValue
+from altchar.characters import QuadValue, class_splits, irrep_splits
 from altchar.cli import main
+from altchar.partitions import parse_partition
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -191,3 +192,83 @@ def test_selftest_checks_survive_optimized_mode():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"]["passed"] == 2
+
+
+# --- the operand path -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["eigmult", "--group", "an", "--irrep", "2,1:x", "--class", "3:+"], id="bad-tag"),
+        pytest.param(["eigmult", "--group", "sn", "--irrep", "2,1:+", "--class", "3"], id="tag-with-sn"),
+        pytest.param(["invariant", "--group", "sn", "--irrep", "2,1", "--class", "3:-"], id="class-tag-with-sn"),
+        pytest.param(["bias", "--mu", "5,3:+"], id="tag-on-mu"),
+        pytest.param(["eigmult", "--group", "an", "--irrep", "2,1", "--class", "3:+"], id="missing-irrep-tag"),
+        pytest.param(["eigmult", "--group", "an", "--irrep", "2,1:+", "--class", "3"], id="missing-class-tag"),
+        pytest.param(["eigmult", "--group", "an", "--irrep", "3,1:+", "--class", "2,2"], id="tag-on-whole-shape"),
+        pytest.param(["invariant", "--group", "an", "--irrep", "3,1", "--class", "2,2:-"], id="tag-on-whole-class"),
+        pytest.param(["eigmult", "--group", "sn", "--irrep", "4,3", "--class", "5,1"], id="n-mismatch"),
+        pytest.param(["invariant", "--group", "an", "--irrep", "2,1:+", "--class", "5"], id="an-n-mismatch"),
+        pytest.param(["unisingular", "--group", "sn", "--irrep", "31"], id="size-guard"),
+        pytest.param(["power-conj", "--mu", "31", "--i", "2"], id="mu-size-guard"),
+        pytest.param(["bias", "--mu", ""], id="empty-bias"),
+        pytest.param(["power-conj", "--mu", "", "--i", "1"], id="empty-power-conj"),
+        pytest.param(["global", "--mu", ""], id="empty-global"),
+        pytest.param(["eigmult", "--group", "sn", "--irrep", "", "--class", ""], id="empty-eigmult-sn"),
+        pytest.param(["eigmult", "--group", "an", "--irrep", "", "--class", ""], id="empty-eigmult-an"),
+        pytest.param(["invariant", "--group", "sn", "--irrep", "", "--class", ""], id="empty-invariant"),
+        pytest.param(["invariant", "--group", "an", "--irrep", "2,1", "--class", ""], id="empty-class"),
+        pytest.param(["unisingular", "--group", "an", "--irrep", ""], id="empty-unisingular"),
+        pytest.param(["unisingular", "--group", "an", "--irrep", ":+"], id="empty-tagged"),
+    ],
+)
+def test_operand_errors_exit_2(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_missing_tag_message_keeps_the_label_form():
+    _, _, err = run_cli("eigmult", "--group", "an", "--irrep", "2,1", "--class", "3:+")
+    assert err == "error: shape 2,1 is self-conjugate; a ':+' or ':-' tag is required\n"
+
+
+@pytest.mark.parametrize(
+    "group, irrep, cls",
+    [("sn", "4,3", "5,2"), ("an", "3,3,2:+", "5,3:-"), ("an", "4,1", "3,1,1")],
+)
+@pytest.mark.parametrize("k", [0, 4, -1, -7, 15, 37])
+def test_eigmult_entry_is_the_vector_entry(group, irrep, cls, k):
+    argv = ["--format", "json", "eigmult", "--group", group, "--irrep", irrep, "--class", cls]
+    _, whole, _ = run_cli(*argv)
+    code, single, _ = run_cli(*argv, "--i", str(k))
+    assert code == 0
+    entries = json.loads(whole)["results"]["entries"]
+    results = json.loads(single)["results"]
+    assert results["index"] == k % len(entries)
+    assert results["entry"] == entries[k % len(entries)]
+
+
+def _halves(label: str, tagged: bool) -> list[str]:
+    return [label + ":+", label + ":-"] if tagged else [label]
+
+
+@pytest.mark.parametrize(
+    "irrep, cls",
+    [("2,1", "3"), ("4,4", "5,3"), ("3,3,2", "5,3"), ("3,3,2", "7,1"), ("2,2", "3,1"), ("5,1", "3,3")],
+)
+def test_untagged_split_label_answers_for_both_halves(irrep, cls):
+    def verdict(*argv):
+        code, out, err = run_cli("--format", "json", *argv)
+        assert code == 0, err
+        return json.loads(out)["results"]
+
+    untagged = verdict("invariant", "--group", "an", "--irrep", irrep, "--class", cls)
+    for r in _halves(irrep, irrep_splits(parse_partition(irrep))):
+        for c in _halves(cls, class_splits(parse_partition(cls))):
+            assert verdict("invariant", "--group", "an", "--irrep", r, "--class", c) == untagged
+    single = verdict("unisingular", "--group", "an", "--irrep", irrep)
+    for r in _halves(irrep, irrep_splits(parse_partition(irrep))):
+        assert verdict("unisingular", "--group", "an", "--irrep", r) == single

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from altchar import perms
-from altchar.characters import AnIrrep
+from altchar.characters import AnIrrep, mn_character
 from altchar.global_classes import (
     _inner_products_distribution,
     an_inner_products,
@@ -13,9 +13,7 @@ from altchar.global_classes import (
     global_brute_force,
     is_global_class,
     qualifies,
-    sn_global_brute_force,
     split_class_of,
-    sundaram_is_global_sn,
 )
 from altchar.partitions import centralizer_order_sn, partitions
 
@@ -144,6 +142,27 @@ def test_union_of_globals_is_global():
 
 
 # --- the symmetric-group analogue ------------------------------------------------
+
+
+def sundaram_is_global_sn(mu):
+    """Closed form at the symmetric-group level: >= 2 distinct odd parts.
+
+    (Not asserted at n = 4 or 8, which the classification excludes.)
+    """
+    return len(mu) >= 2 and all(p % 2 == 1 for p in mu) and len(set(mu)) == len(mu)
+
+
+def sn_global_brute_force(mu):
+    """Symmetric-group verdict via type-distribution character sums."""
+    dist = centralizer_type_distribution(mu)
+    size = centralizer_order_sn(mu)
+    for lam in partitions(sum(mu)):
+        total = sum(count * mn_character(lam, t) for t, count in dist.items())
+        value, rem = divmod(total, size)
+        assert rem == 0 and value >= 0, "inner product not a non-negative integer"
+        if value == 0:
+            return False
+    return True
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 9, 10])

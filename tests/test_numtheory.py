@@ -22,6 +22,7 @@ from altchar.numtheory import (
     twisted_sum,
     unit_sum,
 )
+from conftest import multiplication_perm
 
 ODD_PRIME_POWERS = [3, 9, 27, 81, 243, 5, 25, 125, 7, 49, 11, 13, 17, 19, 23]
 
@@ -66,7 +67,7 @@ def test_jacobi_is_the_sign_of_multiplication():
         for a in range(1, m + 1):
             if math.gcd(a, m) != 1:
                 continue
-            assert jacobi(a, m) == perms.sign(perms.multiplication_perm(a, m))
+            assert jacobi(a, m) == perms.sign(multiplication_perm(a, m))
 
 
 # --- classical multiplicative functions ------------------------------------

@@ -10,7 +10,6 @@ from altchar.partitions import (
     check_partition,
     conjugate,
     cycle_type_data,
-    diagonal_hooks,
     dimension,
     factorize,
     format_partition,
@@ -90,6 +89,12 @@ def test_frobenius_round_trip(lam):
 def test_self_conjugate_has_symmetric_coordinates(lam):
     coords = to_frobenius(lam)
     assert coords.arms == coords.legs
+
+
+def diagonal_hooks(lam):
+    """Hook lengths of the diagonal cells (i, i)."""
+    fc = to_frobenius(lam)
+    return tuple(a + b + 1 for a, b in zip(fc.arms, fc.legs))
 
 
 @given(distinct_odd_types)

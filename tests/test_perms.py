@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from altchar import perms
 from altchar.partitions import partitions, sn_parity
-from conftest import small_perms, small_partitions
+from conftest import multiplication_perm, small_perms, small_partitions
 
 
 @given(small_perms(), st.data())
@@ -71,10 +71,8 @@ def test_multiplication_perm_is_a_homomorphism():
             for j in range(1, m):
                 if any(math.gcd(x, m) != 1 for x in (i, j)):
                     continue
-                left = perms.compose(
-                    perms.multiplication_perm(i, m), perms.multiplication_perm(j, m)
-                )
-                assert left == perms.multiplication_perm(i * j % m, m)
+                left = perms.compose(multiplication_perm(i, m), multiplication_perm(j, m))
+                assert left == multiplication_perm(i * j % m, m)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
