@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .characters import (
     TAG_MINUS,
     TAG_PLUS,
-    AnClass,
     AnIrrep,
     an_classes,
     an_irreps,
@@ -37,7 +36,7 @@ from .multiplicity import (
     sn_multiplicity_oracle,
     sn_multiplicity_vector,
 )
-from .numtheory import jacobi
+from .errors import InternalCheckError
 from .partitions import (
     dimension,
     factorize,
@@ -166,7 +165,8 @@ def _criterion_6() -> tuple[bool, str]:
                 if math.gcd(i, m) != 1:
                     continue
                 rho = perms.conjugator(w, perms.perm_power(w, i))
-                assert rho is not None
+                if rho is None:
+                    raise InternalCheckError(f"no conjugator from w to w^{i} at mu={mu}")
                 explicit = "same" if perms.sign(rho) == 1 else "swapped"
                 if power_conjugacy(mu, i) != explicit:
                     return False, f"verdict differs at mu={mu}, i={i}"

@@ -29,6 +29,7 @@ from .partitions import (
     phi,
     sn_class_size,
 )
+from .errors import InternalCheckError
 from .numtheory import _squarefree_split
 
 TAG_NONE = ""
@@ -194,7 +195,8 @@ class AnIrrep:
     def dim(self) -> int:
         d = dimension(self.lam)
         if self.tag:
-            assert d % 2 == 0
+            if d % 2:
+                raise InternalCheckError(f"split shape {format_partition(self.lam)} has odd dimension {d}")
             return d // 2
         return d
 
@@ -338,7 +340,8 @@ def an_character(rep: AnIrrep, cls: AnClass) -> QuadValue:
     if cls.tag and phi(cls.mu) == rep.lam:
         data = cycle_type_data(cls.mu)
         eps = data.epsilon
-        assert eps is not None
+        if eps is None:
+            raise InternalCheckError(f"no sign epsilon for split class {cls.label()}")
         root, core = _squarefree_split(data.M)
         b = root if rep.tag == cls.tag else -root
         return QuadValue(eps, b, eps * core)
@@ -379,6 +382,7 @@ def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
         raise ValueError(f"n={n} exceeds the table bound {bound}; raise it explicitly if intended")
     reps = an_irreps(n)
     classes = an_classes(n)
-    assert len(reps) == len(classes)
+    if len(reps) != len(classes):
+        raise InternalCheckError(f"A_{n} has {len(reps)} irreducibles but {len(classes)} classes")
     values = tuple(tuple(an_character(r, c) for c in classes) for r in reps)
     return CharacterTable(n, reps, classes, values)

@@ -18,9 +18,11 @@ For a split class (distinct odd parts) the plus and minus halves of the
 self-conjugate shape of matching hook type differ by a bias d_i, which has
 a closed form in terms of Gauss sums: a global constant times one local
 factor per prime power p**f exactly dividing m, each depending only on
-i mod p**f.  bias() evaluates it exactly at one index, bias_vector() at
-every index from one table per prime over the residues mod p**f, and
-bias_oracle() recomputes the defining sum in floating point.
+i mod p**f.  The irrational parts of the Gauss sums cancel against the
+constant, so the form is evaluated in plain integers.  bias() evaluates
+it at one index, bias_vector() at every index from one table per prime
+over the residues mod p**f, and bias_oracle() recomputes the defining
+sum in floating point.
 """
 
 from __future__ import annotations
@@ -28,24 +30,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .characters import TAG_NONE, AnClass, AnIrrep, mn_character
 from .errors import InternalCheckError
-from .numtheory import (
-    GaussPhase,
-    divisors,
-    jacobi,
-    p_adic_split,
-    phase,
-    phase_product,
-    phase_to_integer,
-    ramanujan,
-    sqrt_phase,
-    twisted_sum,
-    unit_sum,
-)
+from .numtheory import divisors, jacobi, p_adic_split, ramanujan, unit_sum
 from .partitions import (
     Partition,
     check_partition,
@@ -277,17 +266,27 @@ class BiasResult:
 
 
 # Local data of one prime at one residue r mod p**f: its condition, its
-# factor of the phase product (PHASE_ZERO when the condition fails) and its
-# factor of the magnitude numerator (p - 1 when p**f divides r, else 1).
-_Local = tuple[PrimeCondition, GaussPhase, int]
+# integer factor of d_i (0 when the condition fails) and its factor of the
+# magnitude numerator (p - 1 when p**f divides r, else 1).
+_Local = tuple[PrimeCondition, int, int]
 
 
 class _BiasForm:
-    """The bias closed form for one distinct-odd cycle type.
+    """The bias closed form for one distinct-odd cycle type, in integers.
 
-    It holds the global constant sqrt(eps*M)/m and the magnitude data, gives
-    the local factor of each prime at each residue, and combines one local
-    factor per prime into d_i.  bias() and bias_vector() share it.
+    The defining sum is sqrt(eps*M)/m times one Gauss-sum factor per prime
+    power p**f exactly dividing m.  Write M = root**2 * odd_core.  An
+    odd-exponent prime p contributes p**(f-1) * (-u*m/p**f | p) * g(p) or
+    zero, where g(p) is sqrt(p) for p = 1 mod 4 and i*sqrt(p) for
+    p = 3 mod 4.  With t such primes of residue 3 mod 4, the irrational
+    parts combine to
+
+        sqrt(eps*M) * prod g(p) = i**([eps < 0] + t) * root * odd_core,
+
+    and eps = (-1)**t because eps = M mod 4, so the power of i is the sign
+    (-1)**(([eps < 0] + t) / 2).  Every local factor is therefore a plain
+    integer, and d_i = sign * root * odd_core * prod(factors) / m.
+    bias() and bias_vector() share this form.
     """
 
     def __init__(self, mu: Partition) -> None:
@@ -297,30 +296,36 @@ class _BiasForm:
         data = cycle_type_data(mu)
         if data.epsilon is None:
             raise InternalCheckError(f"no sign epsilon for distinct odd type {mu}")
-        odd_core = math.prod(pd.p for pd in data.primes[: data.s])
+        odd = data.primes[: data.s]
+        odd_core = math.prod(pd.p for pd in odd)
         root = math.isqrt(data.M // odd_core)
         if root * root * odd_core != data.M:
             raise InternalCheckError("part product over odd-exponent primes is not square")
+        quarter_turns = (data.epsilon < 0) + sum(pd.p % 4 == 3 for pd in odd)
+        if quarter_turns % 2:
+            raise InternalCheckError(f"non-real bias constant for {mu}: eps is not M mod 4")
         self.data = data
-        self.base = sqrt_phase(data.epsilon * data.M) * phase(Fraction(1, data.m))
+        self.scale = (-1) ** (quarter_turns // 2) * root * odd_core
         self.root = root
         self.even_core = math.prod(pd.p for pd in data.primes[data.s :])
 
     def local(self, j: int, r: int) -> _Local:
         """The local factor of the j-th prime p at residue r mod p**f.
 
-        Odd-exponent primes contribute the twisted sum at -r*m/p**f, which
-        is p**(f-1) * (-u*m/p**f | p) * g(p) or zero; even-exponent primes
-        contribute the unit sum at r.  The prime passes where its factor
-        is nonzero.
+        With r == u * p**d mod p**f, an odd-exponent prime contributes
+        p**(f-1) * (-u*m/p**f | p) when d == f-1 and 0 otherwise (its
+        Gauss sum g(p) is in the scale); an even-exponent prime contributes
+        the unit sum at r.  The prime passes where its factor is nonzero.
         """
         pd = self.data.primes[j]
-        if j < self.data.s:
-            factor = twisted_sum(pd.p, pd.f, -(self.data.m // pd.p**pd.f) * r)
-        else:
-            factor = phase(unit_sum(pd.p, pd.f, r))
         d, u = p_adic_split(r, pd.p, pd.f)
-        cond = PrimeCondition(pd.p, pd.f, d, u, not factor.is_zero())
+        if j >= self.data.s:
+            factor = unit_sum(pd.p, pd.f, r)
+        elif d == pd.f - 1:
+            factor = pd.p ** (pd.f - 1) * jacobi(-(self.data.m // pd.p**pd.f) * u, pd.p)
+        else:
+            factor = 0
+        cond = PrimeCondition(pd.p, pd.f, d, u, factor != 0)
         if not cond.ok:
             return cond, factor, 0
         return cond, factor, pd.p - 1 if d == pd.f else 1
@@ -331,7 +336,9 @@ class _BiasForm:
         conditions = tuple(c for c, _, _ in local)
         if not all(c.ok for c in conditions):
             return BiasResult(data.mu, i % data.m, 0, 0, conditions)
-        value = phase_to_integer(phase_product([self.base, *(f for _, f, _ in local)]))
+        value, r = divmod(self.scale * math.prod(f for _, f, _ in local), data.m)
+        if r != 0:
+            raise InternalCheckError(f"non-integral bias at {data.mu}, i={i}")
         magnitude, r = divmod(self.root * math.prod(k for _, _, k in local), self.even_core)
         if r != 0 or abs(value) != magnitude:
             raise InternalCheckError(f"magnitude closed form disagrees at {data.mu}, i={i}")
@@ -342,9 +349,10 @@ def bias(mu: Partition, i: int) -> BiasResult:
     """Exact bias between the split halves at eigenvalue index i.
 
     The plus half is anchored to the class of standard_rep(mu); with that
-    convention the local twisted-sum factors absorb a (-1|p) from the
-    orientation of the defining Fourier sum, so each odd-exponent prime
-    contributes p**(f-1) * (-u*m/p**f | p) * g(p).
+    convention each odd-exponent prime's Gauss-sum factor absorbs a (-1|p)
+    from the orientation of the defining Fourier sum, so it is
+    p**(f-1) * (-u*m/p**f | p) * g(p).  The g(p) and sqrt(eps*M) combine
+    to an integer with a sign, and the value is computed in integers.
     """
     form = _BiasForm(mu)
     primes = form.data.primes

@@ -187,11 +187,11 @@ def test_selftest_checks_survive_optimized_mode():
     src = str(Path(altchar.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "altchar.cli", "--format", "json", "selftest", "--criteria", "1,3"],
+        [sys.executable, "-O", "-m", "altchar.cli", "--format", "json", "selftest", "--criteria", "1,2,3,6,8"],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["results"]["passed"] == 2
+    assert json.loads(proc.stdout)["results"]["passed"] == 5
 
 
 # --- the operand path -------------------------------------------------------

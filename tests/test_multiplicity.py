@@ -1,4 +1,6 @@
 import cmath
+import hashlib
+import json
 import math
 
 import pytest
@@ -20,7 +22,13 @@ from altchar.multiplicity import (
     sn_multiplicity_oracle,
     sn_multiplicity_vector,
 )
-from altchar.partitions import dimension, has_distinct_odd_parts, partitions
+from altchar.partitions import (
+    cycle_type_data,
+    dimension,
+    format_partition,
+    has_distinct_odd_parts,
+    partitions,
+)
 from conftest import distinct_odd_types, mid_partitions, shape_type_pairs
 
 
@@ -160,6 +168,47 @@ def test_bias_zero_index_characterization():
             M = math.prod(mu)
             square = math.isqrt(M) ** 2 == M
             assert (bias(mu, 0).value != 0) == square
+
+
+def _distinct_odd_types(n: int) -> list:
+    """Partitions of n into distinct odd parts, in descending lexicographic order."""
+    out = []
+
+    def extend(remaining: int, biggest: int, prefix: tuple) -> None:
+        if remaining == 0:
+            out.append(prefix)
+        for p in range(min(biggest, remaining), 0, -1):
+            if p % 2:
+                extend(remaining - p, p - 2, prefix + (p,))
+
+    extend(n, n, ())
+    return out
+
+
+def test_sign_epsilon_is_the_part_product_mod_4():
+    """eps = M mod 4, which makes the bias constant of the integer form real."""
+    for n in range(1, 41):
+        for mu in _distinct_odd_types(n):
+            data = cycle_type_data(mu)
+            assert (data.epsilon - data.M) % 4 == 0, mu
+
+
+def test_bias_vectors_are_pinned_through_weight_32():
+    """Every bias vector with n <= 32, hashed; the float oracle stops at n = 25."""
+    rows = [
+        [
+            format_partition(mu),
+            [
+                [b.value, b.abs_formula, [[c.p, c.f, c.d, c.u, c.ok] for c in b.conditions]]
+                for b in bias_vector(mu)
+            ],
+        ]
+        for n in range(1, 33)
+        for mu in _distinct_odd_types(n)
+    ]
+    assert len(rows) == 223
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest[:16] == "59ed0cacbd8f25a6"
 
 
 def test_bias_rejects_bad_types():

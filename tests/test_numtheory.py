@@ -1,25 +1,17 @@
 import cmath
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from altchar import perms
 from altchar.numtheory import (
-    IrrationalResidueError,
     divisors,
     euler_phi,
-    gauss_sum,
     jacobi,
     moebius,
     p_adic_split,
-    phase,
-    phase_product,
-    phase_to_integer,
     ramanujan,
-    sqrt_phase,
-    twisted_sum,
     unit_sum,
 )
 from conftest import multiplication_perm
@@ -123,48 +115,34 @@ def test_unit_sum_against_floats(q):
         assert abs(direct - unit_sum(p, f, i)) < 1e-7
 
 
+# --- the Gauss sums behind the integer bias form ------------------------------
+
+
+def _gauss_sum(p: int) -> complex:
+    """g(p) = sqrt(p) for p = 1 mod 4 and i*sqrt(p) for p = 3 mod 4."""
+    return math.sqrt(p) * (1 if p % 4 == 1 else 1j)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29])
+def test_gauss_sum_value(p):
+    direct = _zeta_power_sum(p, ((j, jacobi(j, p)) for j in range(1, p)))
+    assert abs(direct - _gauss_sum(p)) < 1e-9
+
+
 @pytest.mark.parametrize("q", ODD_PRIME_POWERS)
 def test_twisted_sum_against_floats(q):
-    """The quadratic twist: only the top unit layer survives, with a Gauss sum."""
+    """The quadratic twist: only the top unit layer survives, with a Gauss sum.
+
+    With i == u * p**d mod p**f, the sum of (l|p) zeta^(i*l) over units l is
+    p**(f-1) * (u|p) * g(p) when d == f-1 and 0 otherwise; the bias form
+    takes its odd-exponent local factors from this.
+    """
     p = min(pp for pp in range(2, q + 1) if q % pp == 0)
     f = round(math.log(q, p))
     for i in range(q):
         direct = _zeta_power_sum(
             q, ((u * i % q, jacobi(u, p)) for u in range(q) if u % p != 0)
         )
-        assert abs(direct - complex(twisted_sum(p, f, i))) < 1e-7
-
-
-# --- exact Gauss-sum phases -------------------------------------------------
-
-
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29])
-def test_gauss_sum_value(p):
-    direct = _zeta_power_sum(p, ((j, jacobi(j, p)) for j in range(1, p)))
-    assert abs(direct - complex(gauss_sum(p))) < 1e-9
-    expected = math.sqrt(p) * (1 if p % 4 == 1 else 1j)
-    assert abs(complex(gauss_sum(p)) - expected) < 1e-9
-
-
-def test_phase_arithmetic_squares_the_root():
-    for n in (3, 15, -15, 45, -1):
-        sq = phase_product([sqrt_phase(n), sqrt_phase(n)])
-        assert abs(complex(sq) - n) < 1e-9
-
-
-def test_phase_product_matches_complex_product():
-    factors = [phase(Fraction(3, 2)), sqrt_phase(-15), gauss_sum(7), phase(-2)]
-    product = phase_product(factors)
-    direct = 1 + 0j
-    for f in factors:
-        direct *= complex(f)
-    assert abs(complex(product) - direct) < 1e-9
-
-
-def test_phase_to_integer():
-    assert phase_to_integer(phase(6)) == 6
-    assert phase_to_integer(phase_product([sqrt_phase(-3), sqrt_phase(-3)])) == -3
-    with pytest.raises(IrrationalResidueError):
-        phase_to_integer(sqrt_phase(5))
-    with pytest.raises(IrrationalResidueError):
-        phase_to_integer(phase(Fraction(1, 2)))
+        d, u = p_adic_split(i, p, f)
+        closed = p ** (f - 1) * jacobi(u, p) * _gauss_sum(p) if d == f - 1 else 0
+        assert abs(direct - closed) < 1e-7
