@@ -1,7 +1,6 @@
 """Exact eigenvalue multiplicities and class classifiers for alternating groups."""
 
 from .partitions import (
-    FrobeniusCoords,
     Partition,
     CycleTypeData,
     check_partition,
@@ -9,13 +8,11 @@ from .partitions import (
     cycle_type_data,
     dimension,
     format_partition,
-    from_frobenius,
     has_distinct_odd_parts,
     is_self_conjugate,
     parse_partition,
     partitions,
     phi,
-    to_frobenius,
 )
 from .characters import (
     AnClass,
@@ -31,13 +28,10 @@ from .characters import (
 from .multiplicity import (
     BiasResult,
     MultiplicityVector,
-    an_multiplicity,
     an_multiplicity_vector,
-    bias,
     bias_oracle,
     power_conjugacy,
     power_cycle_type,
-    sn_multiplicity,
     sn_multiplicity_oracle,
     sn_multiplicity_vector,
 )

@@ -26,13 +26,11 @@ from .characters import (
 from .classify import has_invariant_an, n_cycle_gap_set
 from .global_classes import global_brute_force, is_global_class, qualifies
 from .multiplicity import (
-    an_multiplicity,
-    bias,
+    an_multiplicity_vector,
     bias_oracle,
     bias_vector,
     order_of_type,
     power_conjugacy,
-    sn_multiplicity,
     sn_multiplicity_oracle,
     sn_multiplicity_vector,
 )
@@ -66,9 +64,10 @@ def _criterion_1() -> tuple[bool, str]:
     """Worked example for the bias at cycle type (15,9,3)."""
     mu = (15, 9, 3)
     expect = {0: 0, 1: 0, 15: 0, 3: 3, 9: 6}
+    vector = bias_vector(mu)
     problems = []
     for i, absval in expect.items():
-        r = bias(mu, i)
+        r = vector[i]
         if r.abs_formula != absval or abs(r.value) != absval:
             problems.append((i, r.value))
     ok = not problems
@@ -86,18 +85,14 @@ def _criterion_2() -> tuple[bool, str]:
             M = math.prod(mu)
             square_M = math.isqrt(M) ** 2 == M
             squarefree_m = all(e == 1 for _, e in factorize(m))
-            vector = bias_vector(mu)
-            for i in range(m):
-                r = bias(mu, i)
-                expected = bias_oracle(mu, i)
-                if r.value != expected:
+            values = [r.value for r in bias_vector(mu)]
+            for i, d in enumerate(values):
+                if d != bias_oracle(mu, i):
                     return False, f"bias mismatch at mu={mu}, i={i}"
-                if vector[i].value != expected:
-                    return False, f"bias_vector mismatch at mu={mu}, i={i}"
-                if n > 1 and r.value * r.value >= M:
+                if n > 1 and d * d >= M:
                     return False, f"|d| not < sqrt(M) at mu={mu}, i={i}"
                 checked += 1
-            if ((bias(mu, 0).value != 0) != square_M) or ((bias(mu, 1).value != 0) != squarefree_m):
+            if ((values[0] != 0) != square_M) or ((values[1 % m] != 0) != squarefree_m):
                 return False, f"corollary characterization fails at mu={mu}"
     return True, f"{checked} (mu, i) pairs, weights <= 25"
 
@@ -130,8 +125,8 @@ def _criterion_4() -> tuple[bool, str]:
         computed = {
             (lam, i)
             for lam in partitions(n)
-            for i in range(n)
-            if sn_multiplicity(lam, (n,), i) == 0
+            for i, a in enumerate(sn_multiplicity_vector(lam, (n,)).entries)
+            if a == 0
         }
         if computed != n_cycle_gap_set(n):
             diff = computed ^ n_cycle_gap_set(n)
@@ -145,7 +140,7 @@ def _criterion_5() -> tuple[bool, str]:
     for n in range(3, 13):
         for rep in an_irreps(n):
             for cls in an_classes(n):
-                engine_zero = an_multiplicity(rep, cls, 0) == 0
+                engine_zero = an_multiplicity_vector(rep, cls).entries[0] == 0
                 if engine_zero == has_invariant_an(rep, cls):
                     return False, f"mismatch at {rep.label()} / {cls.label()} (n={n})"
                 pairs += 1
@@ -239,13 +234,12 @@ def _criterion_9() -> tuple[bool, str]:
             for cls in an_classes(n):
                 if cls.tag and phi(cls.mu) == lam:
                     continue
-                m = order_of_type(cls.mu)
-                for i in range(m):
-                    a = sn_multiplicity(lam, cls.mu, i)
+                whole = sn_multiplicity_vector(lam, cls.mu).entries
+                halves = zip(*(an_multiplicity_vector(rep, cls).entries for rep in (plus, minus)))
+                for i, (a, (p, q)) in enumerate(zip(whole, halves)):
                     if a % 2:
                         return False, f"odd count at lam={lam}, class {cls.label()}, i={i}"
-                    half = a // 2
-                    if an_multiplicity(plus, cls, i) != half or an_multiplicity(minus, cls, i) != half:
+                    if p != a // 2 or q != a // 2:
                         return False, f"halving fails at lam={lam}, class {cls.label()}, i={i}"
                     checked += 1
     return True, f"{checked} halved multiplicities, n <= 12"

@@ -247,9 +247,7 @@ def an_irreps(n: int) -> tuple[AnIrrep, ...]:
 class QuadValue:
     """Exact value (a + b*sqrt(D))/2 with D a squarefree signed integer.
 
-    D == 0 exactly when b == 0; negative D means b*i*sqrt(|D|).  Addition
-    and multiplication stay in the lattice for a fixed D; products that
-    would leave it raise.
+    D == 0 exactly when b == 0; negative D means b*i*sqrt(|D|).
     """
 
     a: int
@@ -273,40 +271,8 @@ class QuadValue:
     def half(k: int) -> "QuadValue":
         return QuadValue(k, 0, 0)
 
-    def __add__(self, other: "QuadValue") -> "QuadValue":
-        if self.b and other.b and self.D != other.D:
-            raise ValueError("cannot add values with different discriminants")
-        return QuadValue(self.a + other.a, self.b + other.b, self.D or other.D)
-
-    def __neg__(self) -> "QuadValue":
-        return QuadValue(-self.a, -self.b, self.D)
-
-    def __sub__(self, other: "QuadValue") -> "QuadValue":
-        return self + (-other)
-
-    def __mul__(self, other: "QuadValue") -> "QuadValue":
-        if self.b and other.b and self.D != other.D:
-            raise ValueError("cannot multiply values with different discriminants")
-        D = self.D or other.D
-        a2, ra = divmod(self.a * other.a + self.b * other.b * D, 2)
-        b2, rb = divmod(self.a * other.b + self.b * other.a, 2)
-        if ra or rb:
-            raise ValueError(f"product of {self} and {other} leaves the half-lattice")
-        return QuadValue(a2, 0 if b2 == 0 else b2, 0 if b2 == 0 else D)
-
-    def galois_conjugate(self) -> "QuadValue":
-        return QuadValue(self.a, -self.b, self.D)
-
-    def complex_conjugate(self) -> "QuadValue":
-        return self.galois_conjugate() if self.D < 0 else self
-
     def is_rational(self) -> bool:
         return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.a, 2)
 
     def __complex__(self) -> complex:
         root = math.sqrt(abs(self.D)) * (1j if self.D < 0 else 1)

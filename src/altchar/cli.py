@@ -42,7 +42,6 @@ from .classify import (
 from .global_classes import BRUTE_FORCE_BOUND, global_brute_force, is_global_class
 from .multiplicity import (
     an_multiplicity_vector,
-    bias,
     bias_vector,
     power_conjugacy,
     sn_multiplicity_vector,
@@ -159,10 +158,9 @@ def _cmd_eigmult(args) -> Output:
 def _cmd_bias(args) -> Output:
     [[mu]] = _operands(args)
     inputs = {"mu": args.mu, "index": args.i}
+    results = bias_vector(mu)
     if args.i is not None:
-        results = [bias(mu, args.i)]
-    else:
-        results = list(bias_vector(mu))
+        results = [results[args.i % len(results)]]
     payload = {"mu": format_partition(mu), "values": [r.json_dict() for r in results]}
     rows = [[r.i, r.value, r.abs_formula] for r in results]
     text = [f"split bias for cycle type ({format_partition(mu)})"]

@@ -42,6 +42,7 @@ from .characters import (
     an_character,
     mn_character,
 )
+from .errors import InternalCheckError
 from .partitions import (
     Partition,
     centralizer_order_sn,
@@ -140,7 +141,8 @@ def centralizer_elements(mu: Partition, limit: int = _EXPLICIT_LIMIT) -> list[pe
                 for t in range(length):
                     images[block[t]] = target[(t + r) % length]
         out.append(tuple(images))
-    assert len(out) == order
+    if len(out) != order:
+        raise InternalCheckError(f"built {len(out)} centralizer elements for {mu}, expected {order}")
     return out
 
 
@@ -150,7 +152,8 @@ def split_class_of(sigma: perms.Perm) -> str:
     if not class_splits(t):
         raise ValueError(f"cycle type {t} does not split")
     rho = perms.conjugator(perms.standard_rep(t), sigma)
-    assert rho is not None
+    if rho is None:
+        raise InternalCheckError(f"no conjugator into the class of {sigma}")
     return TAG_PLUS if perms.sign(rho) == 1 else TAG_MINUS
 
 
@@ -173,7 +176,7 @@ class _QuadAccumulator:
 
     def rational_total(self) -> Fraction:
         if any(self.radical.values()):
-            raise ArithmeticError(f"radical parts did not cancel: {dict(self.radical)}")
+            raise InternalCheckError(f"radical parts did not cancel: {dict(self.radical)}")
         return Fraction(self.halves, 2)
 
 
@@ -188,7 +191,7 @@ def _inner_products_explicit(mu: Partition) -> dict[AnIrrep, int]:
             acc.add(an_character(rep, cls), count)
         total = acc.rational_total() / len(elements)
         if total.denominator != 1 or total < 0:
-            raise ArithmeticError(f"inner product not a non-negative integer: {total}")
+            raise InternalCheckError(f"inner product not a non-negative integer: {total}")
         out[rep] = int(total)
     return out
 
@@ -238,7 +241,8 @@ def centralizer_type_distribution(mu: Partition) -> dict[Partition, int]:
             for right, wr in _wreath_type_distribution(length, k):
                 merged[_merge_types(left, right)] += wl * wr
         dist = merged
-    assert sum(dist.values()) == centralizer_order_sn(mu)
+    if sum(dist.values()) != centralizer_order_sn(mu):
+        raise InternalCheckError(f"type distribution of the centralizer of {mu} has the wrong size")
     return dict(dist)
 
 
@@ -256,7 +260,8 @@ def _inner_products_distribution(mu: Partition) -> dict[AnIrrep, int]:
         t: c for t, c in centralizer_type_distribution(mu).items() if in_alternating(t)
     }
     size = sum(even_part.values())
-    assert 2 * size == centralizer_order_sn(mu)
+    if 2 * size != centralizer_order_sn(mu):
+        raise InternalCheckError(f"even elements are not half the centralizer of {mu}")
     out = {}
     for rep in an_irreps(n):
         total = 0
@@ -264,11 +269,12 @@ def _inner_products_distribution(mu: Partition) -> dict[AnIrrep, int]:
             total += count * mn_character(rep.lam, t)
         if rep.tag != TAG_NONE:
             num, rem = divmod(total, 2)
-            assert rem == 0
+            if rem != 0:
+                raise InternalCheckError(f"odd character sum {total} for split {rep.label()}")
             total = num
         value, rem = divmod(total, size)
         if rem != 0 or value < 0:
-            raise ArithmeticError(f"inner product not a non-negative integer: {total}/{size}")
+            raise InternalCheckError(f"inner product not a non-negative integer: {total}/{size}")
         out[rep] = value
     return out
 
@@ -289,7 +295,8 @@ def global_brute_force(mu: Partition, bound: int = BRUTE_FORCE_BOUND) -> GlobalV
     if sum(mu) > bound:
         raise ValueError(f"brute force bounded at n={bound}; raise it explicitly if intended")
     inner, method = an_inner_products(mu)
-    assert inner[AnIrrep((sum(mu),))] >= 1  # the trivial irreducible is always hit
+    if inner[AnIrrep((sum(mu),))] < 1:
+        raise InternalCheckError(f"the trivial irreducible is missed at {mu}")
     rep, least = min(inner.items(), key=lambda kv: (kv[1], kv[0].label()))
     return GlobalVerdict(
         mu,

@@ -9,20 +9,23 @@ coefficient
 Since chi(w^j) depends on j only through gcd(j, m), the sum collapses to
 divisors d of m weighted by Ramanujan sums c_{m/d}(i); and since the
 characters of S_n are rational, a_i depends on i only through
-g = gcd(i, m).  The production path therefore evaluates chi once at each
-of the tau(m) power types w^d, solves a_g once for each divisor g of m,
-and broadcasts a_i = a_{gcd(i, m)}.  A slower independent oracle reduces
-the same data modulo a cyclotomic polynomial instead.
+g = gcd(i, m).  sn_multiplicity_vector therefore evaluates chi once at
+each of the tau(m) power types w^d, solves a_g once for each divisor g
+of m, and broadcasts a_i = a_{gcd(i, m)}.  A slower independent oracle
+reduces the same data modulo a cyclotomic polynomial instead.
 
 For a split class (distinct odd parts) the plus and minus halves of the
 self-conjugate shape of matching hook type differ by a bias d_i, which has
 a closed form in terms of Gauss sums: a global constant times one local
 factor per prime power p**f exactly dividing m, each depending only on
 i mod p**f.  The irrational parts of the Gauss sums cancel against the
-constant, so the form is evaluated in plain integers.  bias() evaluates
-it at one index, bias_vector() at every index from one table per prime
-over the residues mod p**f, and bias_oracle() recomputes the defining
-sum in floating point.
+constant, so bias_vector evaluates the form in plain integers, from one
+table per prime over the residues mod p**f; bias_oracle recomputes the
+defining sum in floating point.  an_multiplicity_vector combines the two.
+
+Each question has one production function, and it answers for every
+index at once: a single entry is read from the vector, as in
+sn_multiplicity_vector(lam, mu).entries[i % m] or bias_vector(mu)[i % m].
 """
 
 from __future__ import annotations
@@ -81,35 +84,6 @@ def _check_pair(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
     return lam, mu
 
 
-def _gcd_multiplicities(lam: Partition, mu: Partition, gcds) -> dict[int, int]:
-    """a_g for each g in gcds, every g a divisor of the order m of mu.
-
-    chi is evaluated once at each of the tau(m) power types; each a_g is then
-    a sum of tau(m) Ramanujan terms.  lam and mu are trusted partitions of
-    the same size.
-    """
-    m = _order(mu)
-    divs = divisors(m)
-    chi = [mn_character(lam, _power_type(mu, d)) for d in divs]
-    out = {}
-    for g in gcds:
-        total = sum(c * ramanujan(m // d, g) for c, d in zip(chi, divs))
-        q, r = divmod(total, m)
-        if r != 0 or q < 0:
-            raise InternalCheckError(
-                f"non-integral multiplicity for {lam} at {mu}, gcd(i, m)={g}"
-            )
-        out[g] = q
-    return out
-
-
-def sn_multiplicity(lam: Partition, mu: Partition, i: int) -> int:
-    """Multiplicity of zeta_m^i as an eigenvalue of w_mu in the shape lam."""
-    lam, mu = _check_pair(lam, mu)
-    g = math.gcd(i, _order(mu))
-    return _gcd_multiplicities(lam, mu, (g,))[g]
-
-
 @dataclass(frozen=True)
 class MultiplicityVector:
     """All m eigenvalue multiplicities of one representative in one irreducible."""
@@ -128,8 +102,17 @@ class MultiplicityVector:
 
 
 def _sn_entries(lam: Partition, mu: Partition) -> tuple[int, ...]:
+    """The entries of sn_multiplicity_vector; lam and mu are trusted, of equal size."""
     m = _order(mu)
-    by_gcd = _gcd_multiplicities(lam, mu, divisors(m))
+    divs = divisors(m)
+    chi = [mn_character(lam, _power_type(mu, d)) for d in divs]
+    by_gcd = {}
+    for g in divs:
+        total = sum(c * ramanujan(m // d, g) for c, d in zip(chi, divs))
+        a, r = divmod(total, m)
+        if r != 0 or a < 0:
+            raise InternalCheckError(f"non-integral multiplicity for {lam} at {mu}, gcd(i, m)={g}")
+        by_gcd[g] = a
     return tuple(by_gcd[math.gcd(i, m)] for i in range(m))
 
 
@@ -265,116 +248,82 @@ class BiasResult:
         }
 
 
-# Local data of one prime at one residue r mod p**f: its condition, its
-# integer factor of d_i (0 when the condition fails) and its factor of the
-# magnitude numerator (p - 1 when p**f divides r, else 1).
-_Local = tuple[PrimeCondition, int, int]
+def bias_vector(mu: Partition) -> tuple[BiasResult, ...]:
+    """Exact bias d_i between the split halves, at every index i mod m.
 
-
-class _BiasForm:
-    """The bias closed form for one distinct-odd cycle type, in integers.
-
-    The defining sum is sqrt(eps*M)/m times one Gauss-sum factor per prime
-    power p**f exactly dividing m.  Write M = root**2 * odd_core.  An
-    odd-exponent prime p contributes p**(f-1) * (-u*m/p**f | p) * g(p) or
-    zero, where g(p) is sqrt(p) for p = 1 mod 4 and i*sqrt(p) for
-    p = 3 mod 4.  With t such primes of residue 3 mod 4, the irrational
-    parts combine to
+    The plus half is anchored to the class of standard_rep(mu).  The
+    defining sum is sqrt(eps*M)/m times one Gauss-sum factor per prime
+    power p**f exactly dividing m, and each factor depends on i only
+    through i mod p**f.  Write i == u * p**d mod p**f and M = root**2 *
+    odd_core.  With the orientation of the defining Fourier sum, an
+    odd-exponent prime p contributes p**(f-1) * (-u*m/p**f | p) * g(p) at
+    d == f-1 and zero otherwise, where g(p) is sqrt(p) for p = 1 mod 4 and
+    i*sqrt(p) for p = 3 mod 4; an even-exponent prime contributes its unit
+    sum at i.  With t odd-exponent primes of residue 3 mod 4, the
+    irrational parts combine to
 
         sqrt(eps*M) * prod g(p) = i**([eps < 0] + t) * root * odd_core,
 
     and eps = (-1)**t because eps = M mod 4, so the power of i is the sign
     (-1)**(([eps < 0] + t) / 2).  Every local factor is therefore a plain
     integer, and d_i = sign * root * odd_core * prod(factors) / m.
-    bias() and bias_vector() share this form.
+
+    One table per prime power holds its factor at every residue mod p**f;
+    entry i combines the rows at i mod p**f (Chinese remaindering), at a
+    cost of O(sum of p**f + m) local factors and products.  Each nonzero
+    entry is cross-checked against the closed form of its magnitude.
     """
+    mu = check_partition(mu)
+    if not has_distinct_odd_parts(mu):
+        raise ValueError(f"bias is defined for distinct odd parts only: {mu}")
+    data = cycle_type_data(mu)
+    if data.epsilon is None:
+        raise InternalCheckError(f"no sign epsilon for distinct odd type {mu}")
+    odd = data.primes[: data.s]
+    odd_core = math.prod(pd.p for pd in odd)
+    root = math.isqrt(data.M // odd_core)
+    if root * root * odd_core != data.M:
+        raise InternalCheckError("part product over odd-exponent primes is not square")
+    quarter_turns = (data.epsilon < 0) + sum(pd.p % 4 == 3 for pd in odd)
+    if quarter_turns % 2:
+        raise InternalCheckError(f"non-real bias constant for {mu}: eps is not M mod 4")
+    scale = (-1) ** (quarter_turns // 2) * root * odd_core
+    even_core = math.prod(pd.p for pd in data.primes[data.s :])
 
-    def __init__(self, mu: Partition) -> None:
-        mu = check_partition(mu)
-        if not has_distinct_odd_parts(mu):
-            raise ValueError(f"bias is defined for distinct odd parts only: {mu}")
-        data = cycle_type_data(mu)
-        if data.epsilon is None:
-            raise InternalCheckError(f"no sign epsilon for distinct odd type {mu}")
-        odd = data.primes[: data.s]
-        odd_core = math.prod(pd.p for pd in odd)
-        root = math.isqrt(data.M // odd_core)
-        if root * root * odd_core != data.M:
-            raise InternalCheckError("part product over odd-exponent primes is not square")
-        quarter_turns = (data.epsilon < 0) + sum(pd.p % 4 == 3 for pd in odd)
-        if quarter_turns % 2:
-            raise InternalCheckError(f"non-real bias constant for {mu}: eps is not M mod 4")
-        self.data = data
-        self.scale = (-1) ** (quarter_turns // 2) * root * odd_core
-        self.root = root
-        self.even_core = math.prod(pd.p for pd in data.primes[data.s :])
+    # Per prime power, at each residue r: its condition, its factor of d_i
+    # and its factor of the magnitude numerator (p - 1 when p**f divides r).
+    tables = []
+    for j, pd in enumerate(data.primes):
+        q = pd.p**pd.f
+        rows = []
+        for r in range(q):
+            d, u = p_adic_split(r, pd.p, pd.f)
+            if j >= data.s:
+                factor = unit_sum(pd.p, pd.f, r)
+            elif d == pd.f - 1:
+                factor = pd.p ** (pd.f - 1) * jacobi(-(data.m // q) * u, pd.p)
+            else:
+                factor = 0
+            cond = PrimeCondition(pd.p, pd.f, d, u, factor != 0)
+            magnitude = (pd.p - 1 if d == pd.f else 1) if factor else 0
+            rows.append((cond, factor, magnitude))
+        tables.append((q, rows))
 
-    def local(self, j: int, r: int) -> _Local:
-        """The local factor of the j-th prime p at residue r mod p**f.
-
-        With r == u * p**d mod p**f, an odd-exponent prime contributes
-        p**(f-1) * (-u*m/p**f | p) when d == f-1 and 0 otherwise (its
-        Gauss sum g(p) is in the scale); an even-exponent prime contributes
-        the unit sum at r.  The prime passes where its factor is nonzero.
-        """
-        pd = self.data.primes[j]
-        d, u = p_adic_split(r, pd.p, pd.f)
-        if j >= self.data.s:
-            factor = unit_sum(pd.p, pd.f, r)
-        elif d == pd.f - 1:
-            factor = pd.p ** (pd.f - 1) * jacobi(-(self.data.m // pd.p**pd.f) * u, pd.p)
-        else:
-            factor = 0
-        cond = PrimeCondition(pd.p, pd.f, d, u, factor != 0)
-        if not cond.ok:
-            return cond, factor, 0
-        return cond, factor, pd.p - 1 if d == pd.f else 1
-
-    def result(self, i: int, local: list[_Local]) -> BiasResult:
-        """d_i from the local factors of i, one per prime, magnitude cross-checked."""
-        data = self.data
+    out = []
+    for i in range(data.m):
+        local = [rows[i % q] for q, rows in tables]
         conditions = tuple(c for c, _, _ in local)
         if not all(c.ok for c in conditions):
-            return BiasResult(data.mu, i % data.m, 0, 0, conditions)
-        value, r = divmod(self.scale * math.prod(f for _, f, _ in local), data.m)
+            out.append(BiasResult(mu, i, 0, 0, conditions))
+            continue
+        value, r = divmod(scale * math.prod(f for _, f, _ in local), data.m)
         if r != 0:
-            raise InternalCheckError(f"non-integral bias at {data.mu}, i={i}")
-        magnitude, r = divmod(self.root * math.prod(k for _, _, k in local), self.even_core)
+            raise InternalCheckError(f"non-integral bias at {mu}, i={i}")
+        magnitude, r = divmod(root * math.prod(k for _, _, k in local), even_core)
         if r != 0 or abs(value) != magnitude:
-            raise InternalCheckError(f"magnitude closed form disagrees at {data.mu}, i={i}")
-        return BiasResult(data.mu, i % data.m, value, magnitude, conditions)
-
-
-def bias(mu: Partition, i: int) -> BiasResult:
-    """Exact bias between the split halves at eigenvalue index i.
-
-    The plus half is anchored to the class of standard_rep(mu); with that
-    convention each odd-exponent prime's Gauss-sum factor absorbs a (-1|p)
-    from the orientation of the defining Fourier sum, so it is
-    p**(f-1) * (-u*m/p**f | p) * g(p).  The g(p) and sqrt(eps*M) combine
-    to an integer with a sign, and the value is computed in integers.
-    """
-    form = _BiasForm(mu)
-    primes = form.data.primes
-    return form.result(i, [form.local(j, i % pd.p**pd.f) for j, pd in enumerate(primes)])
-
-
-def bias_vector(mu: Partition) -> tuple[BiasResult, ...]:
-    """bias(mu, i) for every i mod m, from one residue table per prime power.
-
-    Each local factor depends on i only through i mod p**f, so the table of
-    prime p**f holds its factor at every residue; entry i combines the
-    table rows at i mod p**f (Chinese remaindering), at a cost of
-    O(sum of p**f + m) local factors and products instead of m full
-    evaluations.
-    """
-    form = _BiasForm(mu)
-    moduli = [pd.p**pd.f for pd in form.data.primes]
-    tables = [[form.local(j, r) for r in range(q)] for j, q in enumerate(moduli)]
-    return tuple(
-        form.result(i, [table[i % q] for table, q in zip(tables, moduli)])
-        for i in range(form.data.m)
-    )
+            raise InternalCheckError(f"magnitude closed form disagrees at {mu}, i={i}")
+        out.append(BiasResult(mu, i, value, magnitude, conditions))
+    return tuple(out)
 
 
 def bias_oracle(mu: Partition, i: int, tol: float = 1e-6) -> int:
@@ -403,52 +352,29 @@ def bias_oracle(mu: Partition, i: int, tol: float = 1e-6) -> int:
 # alternating-group dispatch
 
 
-def _halve(rep: AnIrrep, cls: AnClass, i: int, a: int, d: int) -> int:
-    """(a +- d)/2 for a split half, the sign set by whether the tags agree."""
-    numer = a + d if rep.tag == cls.tag else a - d
-    q, r = divmod(numer, 2)
-    if r != 0 or q < 0:
-        raise InternalCheckError(f"half-multiplicity failed for {rep.label()} at {cls.label()}, i={i}")
-    return q
-
-
-def _own_type(rep: AnIrrep, cls: AnClass) -> bool:
-    """True when cls is a split class of the hook type of the split half rep."""
-    return bool(cls.tag) and phi(cls.mu) == rep.lam
-
-
-def an_multiplicity(rep: AnIrrep, cls: AnClass, i: int) -> int:
-    """Eigenvalue multiplicity in an alternating-group irreducible.
-
-    Whole irreducibles inherit the symmetric-group count.  A split half at
-    a split class of its own hook type gets (a +- d)/2, the sign set by
-    whether the irreducible and class tags agree; at every other class the
-    symmetric-group count halves evenly.
-    """
-    if rep.n != cls.n:
-        raise ValueError("size mismatch")
-    a = sn_multiplicity(rep.lam, cls.mu, i)
-    if rep.tag == TAG_NONE:
-        return a
-    d = bias(cls.mu, i).value if _own_type(rep, cls) else 0
-    return _halve(rep, cls, i, a, d)
-
-
 def an_multiplicity_vector(rep: AnIrrep, cls: AnClass) -> MultiplicityVector:
     """All m multiplicities in an alternating-group irreducible.
 
-    The symmetric-group vector is built once; a split half at its own hook
-    type combines it with one bias_vector, anywhere else it halves evenly.
+    Whole irreducibles inherit the symmetric-group vector.  A split half at
+    a split class of its own hook type gets (a_i +- d_i)/2 from one
+    bias_vector, the sign set by whether the irreducible and class tags
+    agree; at every other class the symmetric-group count halves evenly.
     """
     if rep.n != cls.n:
         raise ValueError("size mismatch")
     entries = _sn_entries(rep.lam, cls.mu)
     if rep.tag != TAG_NONE:
-        if _own_type(rep, cls):
-            biases = [b.value for b in bias_vector(cls.mu)]
-        else:
-            biases = [0] * len(entries)
-        entries = tuple(_halve(rep, cls, i, a, d) for i, (a, d) in enumerate(zip(entries, biases)))
+        biases = [0] * len(entries)
+        if cls.tag and phi(cls.mu) == rep.lam:
+            sign = 1 if rep.tag == cls.tag else -1
+            biases = [sign * b.value for b in bias_vector(cls.mu)]
+        halves = []
+        for i, (a, d) in enumerate(zip(entries, biases)):
+            half, r = divmod(a + d, 2)
+            if r != 0 or half < 0:
+                raise InternalCheckError(f"half-multiplicity failed for {rep.label()} at {cls.label()}, i={i}")
+            halves.append(half)
+        entries = tuple(halves)
     return MultiplicityVector((rep.label(), cls.label()), len(entries), entries)
 
 

@@ -1,4 +1,4 @@
-"""Integer partitions, Frobenius coordinates, and cycle-type arithmetic.
+"""Integer partitions, the hook bijection phi, and cycle-type arithmetic.
 
 A partition is a plain tuple of weakly decreasing positive integers; the
 empty tuple is the unique partition of 0.  Functions validate their input
@@ -101,47 +101,6 @@ def has_distinct_odd_parts(mu: Partition) -> bool:
     return all(p % 2 == 1 for p in mu) and len(set(mu)) == len(mu)
 
 
-@dataclass(frozen=True)
-class FrobeniusCoords:
-    """Arm and leg lengths along the main diagonal, both strictly decreasing."""
-
-    arms: tuple[int, ...]
-    legs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.arms) != len(self.legs):
-            raise InvalidPartitionError("arms and legs must have equal length")
-        for seq in (self.arms, self.legs):
-            if any(a <= b for a, b in zip(seq, seq[1:])):
-                raise InvalidPartitionError(f"coordinates must strictly decrease: {seq}")
-            if seq and seq[-1] < 0:
-                raise InvalidPartitionError(f"coordinates must be non-negative: {seq}")
-
-
-def to_frobenius(lam: Partition) -> FrobeniusCoords:
-    """Frobenius coordinates of a partition.
-
-    >>> to_frobenius((3, 3, 1))
-    FrobeniusCoords(arms=(2, 1), legs=(2, 0))
-    """
-    lam = check_partition(lam)
-    lamc = conjugate(lam)
-    d = sum(1 for i, p in enumerate(lam) if p >= i + 1)
-    arms = tuple(lam[i] - i - 1 for i in range(d))
-    legs = tuple(lamc[i] - i - 1 for i in range(d))
-    return FrobeniusCoords(arms, legs)
-
-
-def from_frobenius(coords: FrobeniusCoords) -> Partition:
-    """Partition with the given Frobenius coordinates."""
-    d = len(coords.arms)
-    rows = [coords.arms[i] + i + 1 for i in range(d)]
-    cols = [coords.legs[j] + j + 1 for j in range(d)]
-    depth = cols[0] if d else 0
-    below = [sum(1 for c in cols if c >= i + 1) for i in range(d, depth)]
-    return check_partition(tuple(rows + below))
-
-
 def phi(mu: Partition) -> Partition:
     """The self-conjugate partition whose diagonal hook lengths are the parts of mu.
 
@@ -154,8 +113,13 @@ def phi(mu: Partition) -> Partition:
     mu = check_partition(mu)
     if not has_distinct_odd_parts(mu):
         raise InvalidPartitionError(f"parts must be distinct and odd: {mu}")
-    arms = tuple((p - 1) // 2 for p in mu)
-    return from_frobenius(FrobeniusCoords(arms, arms))
+    # Row i < d is i cells left of the diagonal, the diagonal cell and its
+    # arm (p_i - 1)/2.  The shape is self-conjugate, so column j < d is as
+    # long as row j, and row r >= d counts the columns j < d longer than r.
+    d = len(mu)
+    rows = [(p - 1) // 2 + i + 1 for i, p in enumerate(mu)]
+    depth = rows[0] if d else 0
+    return tuple(rows + [sum(1 for row in rows if row > r) for r in range(d, depth)])
 
 
 @cache

@@ -1,6 +1,9 @@
+import cmath
+import math
+
 import pytest
 
-from altchar.characters import an_classes, an_irreps
+from altchar.characters import TAG_MINUS, TAG_NONE, TAG_PLUS, AnClass, an_character, an_classes, an_irreps
 from altchar.classify import (
     has_invariant_an,
     has_invariant_sn,
@@ -12,10 +15,11 @@ from altchar.classify import (
     unisingular_sn,
 )
 from altchar.multiplicity import (
-    an_multiplicity,
     an_multiplicity_vector,
     order_of_type,
-    sn_multiplicity,
+    power_conjugacy,
+    power_cycle_type,
+    sn_multiplicity_oracle,
     sn_multiplicity_vector,
 )
 from altchar.partitions import partitions
@@ -26,7 +30,7 @@ def test_symmetric_invariants_match_the_engine(n):
     for lam in partitions(n):
         for mu in partitions(n):
             predicted = has_invariant_sn(lam, mu)
-            assert predicted == (sn_multiplicity(lam, mu, 0) > 0), (lam, mu)
+            assert predicted == (sn_multiplicity_vector(lam, mu).entries[0] > 0), (lam, mu)
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -34,7 +38,7 @@ def test_alternating_invariants_match_the_engine(n):
     for rep in an_irreps(n):
         for cls in an_classes(n):
             predicted = has_invariant_an(rep, cls)
-            assert predicted == (an_multiplicity(rep, cls, 0) > 0), (rep, cls)
+            assert predicted == (an_multiplicity_vector(rep, cls).entries[0] > 0), (rep, cls)
 
 
 def test_sporadic_failures_carry_rules():
@@ -52,14 +56,14 @@ def test_family_failures_carry_rules():
 @pytest.mark.parametrize("n", range(1, 10))
 def test_unisingular_sn_is_the_conjunction(n):
     for lam in partitions(n):
-        brute = all(sn_multiplicity(lam, mu, 0) > 0 for mu in partitions(n))
+        brute = all(sn_multiplicity_vector(lam, mu).entries[0] > 0 for mu in partitions(n))
         assert unisingular_sn(lam) == brute
 
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_unisingular_an_is_the_conjunction(n):
     for rep in an_irreps(n):
-        brute = all(an_multiplicity(rep, cls, 0) > 0 for cls in an_classes(n))
+        brute = all(an_multiplicity_vector(rep, cls).entries[0] > 0 for cls in an_classes(n))
         assert unisingular_an(rep) == brute
 
 
@@ -75,8 +79,8 @@ def test_gap_catalog_equals_the_computed_zero_set(n):
     computed = {
         (lam, i)
         for lam in partitions(n)
-        for i in range(n)
-        if sn_multiplicity(lam, (n,), i) == 0
+        for i, a in enumerate(sn_multiplicity_vector(lam, (n,)).entries)
+        if a == 0
     }
     assert n_cycle_gap_set(n) == computed
 
@@ -97,20 +101,44 @@ def test_gap_rules_for_small_cases():
     assert rules[(1, 1, 1, 1), 0] == "ncycle:one-column"
 
 
+def an_multiplicities_from_characters(rep, cls) -> list[int]:
+    """All m multiplicities of cls in rep, by a float transform of an_character.
+
+    w^j stays in a split class only for j coprime to m, and it is in the
+    class of w or of its partner as power_conjugacy says; every other power
+    lies in a class that does not split.
+    """
+    mu, m = cls.mu, order_of_type(cls.mu)
+    values = []
+    for j in range(m):
+        tag = TAG_NONE
+        if cls.tag and math.gcd(j, m) == 1:
+            tag = cls.tag
+            if power_conjugacy(mu, j) == "swapped":
+                tag = TAG_MINUS if tag == TAG_PLUS else TAG_PLUS
+        values.append(complex(an_character(rep, AnClass(power_cycle_type(mu, j), tag))))
+    out = []
+    for i in range(m):
+        z = sum(v * cmath.exp(-2j * math.pi * i * j / m) for j, v in enumerate(values)) / m
+        assert abs(z - round(z.real)) < 1e-8
+        out.append(round(z.real))
+    return out
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_full_minimal_polynomial_sn(n):
-    """Every m-th root of unity occurs: the vector and the single-index engine agree."""
+    """Every m-th root of unity occurs: the vector and the cyclotomic oracle agree."""
     for lam in partitions(n):
         for mu in partitions(n):
             m = order_of_type(mu)
-            brute = all(sn_multiplicity(lam, mu, i) > 0 for i in range(m))
+            brute = all(sn_multiplicity_oracle(lam, mu, i) > 0 for i in range(m))
             assert all(e > 0 for e in sn_multiplicity_vector(lam, mu).entries) == brute
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_full_minimal_polynomial_an(n):
+    """On A_n the whole vector equals the transform of the exact characters."""
     for rep in an_irreps(n):
         for cls in an_classes(n):
-            m = order_of_type(cls.mu)
-            brute = all(an_multiplicity(rep, cls, i) > 0 for i in range(m))
-            assert all(e > 0 for e in an_multiplicity_vector(rep, cls).entries) == brute
+            oracle = an_multiplicities_from_characters(rep, cls)
+            assert list(an_multiplicity_vector(rep, cls).entries) == oracle, (rep, cls)

@@ -12,6 +12,7 @@ import pytest
 from jsonschema import validate
 
 import altchar
+from altchar import global_classes
 from altchar.characters import QuadValue, class_splits, irrep_splits
 from altchar.cli import main
 from altchar.partitions import parse_partition
@@ -187,11 +188,20 @@ def test_selftest_checks_survive_optimized_mode():
     src = str(Path(altchar.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "altchar.cli", "--format", "json", "selftest", "--criteria", "1,2,3,6,8"],
+        [sys.executable, "-O", "-m", "altchar.cli", "--format", "json", "selftest", "--criteria", "1,2,3,6,7,8"],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["results"]["passed"] == 5
+    assert json.loads(proc.stdout)["results"]["passed"] == 6
+
+
+def test_irrational_inner_product_exits_1(monkeypatch):
+    """A character sum whose radical parts fail to cancel is an internal fault."""
+    monkeypatch.setattr(global_classes, "an_character", lambda rep, cls: QuadValue(1, 1, 5))
+    code, out, err = run_cli("global", "--mu", "3,3,1,1", "--verify")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal check failed: radical parts did not cancel")
 
 
 # --- the operand path -------------------------------------------------------

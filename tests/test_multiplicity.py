@@ -9,16 +9,13 @@ from hypothesis import assume, given, strategies as st
 from altchar import perms
 from altchar.characters import AnClass, AnIrrep, an_character, an_classes, an_irreps, irrep_splits
 from altchar.multiplicity import (
-    an_multiplicity,
     an_multiplicity_vector,
-    bias,
     bias_oracle,
     bias_vector,
     cyclotomic_polynomial,
     order_of_type,
     power_conjugacy,
     power_cycle_type,
-    sn_multiplicity,
     sn_multiplicity_oracle,
     sn_multiplicity_vector,
 )
@@ -28,6 +25,7 @@ from altchar.partitions import (
     format_partition,
     has_distinct_odd_parts,
     partitions,
+    phi,
 )
 from conftest import distinct_odd_types, mid_partitions, shape_type_pairs
 
@@ -78,13 +76,17 @@ def test_entries_sum_to_the_dimension(pair):
 
 @given(shape_type_pairs(max_n=9), st.data())
 def test_multiplicity_depends_only_on_the_gcd(pair, data):
-    """Galois conjugate eigenvalues must appear equally often."""
+    """Galois conjugate eigenvalues appear equally often, by the cyclotomic oracle.
+
+    The engine broadcasts a_{gcd(i, m)} by construction, so the oracle,
+    which reduces each index on its own, is what tests the premise.
+    """
     lam, mu = pair
     m = order_of_type(mu)
     i = data.draw(st.integers(min_value=0, max_value=m - 1))
     j = data.draw(st.integers(min_value=0, max_value=m - 1))
     if math.gcd(i, m) == math.gcd(j, m):
-        assert sn_multiplicity(lam, mu, i) == sn_multiplicity(lam, mu, j)
+        assert sn_multiplicity_oracle(lam, mu, i) == sn_multiplicity_oracle(lam, mu, j)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -95,22 +97,16 @@ def test_engine_equals_oracle(n):
             vec = sn_multiplicity_vector(lam, mu)
             assert vec.m == len(vec.entries) == m
             for i in range(m):
-                expected = sn_multiplicity_oracle(lam, mu, i)
-                assert sn_multiplicity(lam, mu, i) == expected
-                assert vec.entries[i] == expected
+                assert vec.entries[i] == sn_multiplicity_oracle(lam, mu, i)
 
 
 def test_trivial_shape_sees_only_eigenvalue_one():
     for mu in partitions(6):
-        n = sum(mu)
-        m = order_of_type(mu)
-        for i in range(m):
-            assert sn_multiplicity((n,), mu, i) == (1 if i == 0 else 0)
+        entries = sn_multiplicity_vector((6,), mu).entries
+        assert entries == (1,) + (0,) * (order_of_type(mu) - 1)
 
 
 def test_mismatched_weights_rejected():
-    with pytest.raises(ValueError):
-        sn_multiplicity((3, 1), (5,), 0)
     with pytest.raises(ValueError):
         sn_multiplicity_vector((3, 1), (5,))
 
@@ -127,15 +123,8 @@ def test_bias_worked_example():
     assert values[9][1] == 6
 
 
-def test_bias_vector_equals_the_single_index_bias():
-    for n in range(1, 26):
-        for mu in partitions(n):
-            if has_distinct_odd_parts(mu):
-                assert bias_vector(mu) == tuple(bias(mu, i) for i in range(order_of_type(mu)))
-
-
 def test_bias_on_a_three_cycle():
-    assert [bias((3,), i).value for i in range(3)] == [0, 1, -1]
+    assert [r.value for r in bias_vector((3,))] == [0, 1, -1]
 
 
 @pytest.mark.parametrize("n", range(1, 14))
@@ -143,8 +132,8 @@ def test_bias_equals_the_defining_sum(n):
     for mu in partitions(n):
         if not has_distinct_odd_parts(mu):
             continue
-        for i in range(order_of_type(mu)):
-            r = bias(mu, i)
+        for i, r in enumerate(bias_vector(mu)):
+            assert r.i == i
             assert r.value == bias_oracle(mu, i)
             assert abs(r.value) == r.abs_formula
             assert r.nonzero == (r.value != 0)
@@ -152,7 +141,7 @@ def test_bias_equals_the_defining_sum(n):
 
 @given(distinct_odd_types, st.integers(min_value=0, max_value=200))
 def test_bias_magnitude_bound(mu, i):
-    r = bias(mu, i)
+    r = bias_vector(mu)[i % order_of_type(mu)]
     M = math.prod(mu)
     if len(mu) > 1:
         assert r.value * r.value < M
@@ -167,7 +156,7 @@ def test_bias_zero_index_characterization():
                 continue
             M = math.prod(mu)
             square = math.isqrt(M) ** 2 == M
-            assert (bias(mu, 0).value != 0) == square
+            assert (bias_vector(mu)[0].value != 0) == square
 
 
 def _distinct_odd_types(n: int) -> list:
@@ -213,9 +202,9 @@ def test_bias_vectors_are_pinned_through_weight_32():
 
 def test_bias_rejects_bad_types():
     with pytest.raises(ValueError):
-        bias((3, 3), 0)
+        bias_vector((3, 3))
     with pytest.raises(ValueError):
-        bias((4, 1), 0)
+        bias_vector((4, 1))
 
 
 # --- the alternating dispatch --------------------------------------------------
@@ -236,30 +225,36 @@ def test_an_vectors_reconstruct_the_character(n):
 
 def test_own_type_splits_by_the_bias():
     rep = AnIrrep((2, 1), "+")
-    assert [an_multiplicity(rep, AnClass((3,), "+"), i) for i in range(3)] == [0, 1, 0]
-    assert [an_multiplicity(rep, AnClass((3,), "-"), i) for i in range(3)] == [0, 0, 1]
+    assert an_multiplicity_vector(rep, AnClass((3,), "+")).entries == (0, 1, 0)
+    assert an_multiplicity_vector(rep, AnClass((3,), "-")).entries == (0, 0, 1)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_split_vectors_equal_the_single_index_engine(n):
+    """Split halves against references taken one index at a time.
+
+    The halves sum to the symmetric-group vector.  At a class of their own
+    hook type they differ by the float oracle bias_oracle(mu, i), with the
+    sign of the class tag; at every other class they agree.
+    """
     for lam in partitions(n):
         if not irrep_splits(lam):
             continue
-        plus, minus = AnIrrep(lam, "+"), AnIrrep(lam, "-")
         for cls in an_classes(n):
-            halves = [an_multiplicity_vector(rep, cls) for rep in (plus, minus)]
-            for rep, vec in zip((plus, minus), halves):
-                assert vec.entries == tuple(an_multiplicity(rep, cls, i) for i in range(vec.m))
+            plus, minus = (an_multiplicity_vector(AnIrrep(lam, t), cls).entries for t in "+-")
             whole = sn_multiplicity_vector(lam, cls.mu).entries
-            assert tuple(a + b for a, b in zip(*(v.entries for v in halves))) == whole
+            assert tuple(p + q for p, q in zip(plus, minus)) == whole
+            own_type = cls.tag and phi(cls.mu) == lam
+            sign = 1 if cls.tag == "+" else -1
+            for i, (p, q) in enumerate(zip(plus, minus)):
+                assert p - q == (sign * bias_oracle(cls.mu, i) if own_type else 0)
 
 
 def test_split_pair_shares_counts_away_from_its_type():
     plus = AnIrrep((3, 3, 2), "+")
     minus = AnIrrep((3, 3, 2), "-")
     cls = AnClass((7, 1), "+")  # distinct-odd, but not the hook type of (3,3,2)
-    for i in range(7):
-        assert an_multiplicity(plus, cls, i) == an_multiplicity(minus, cls, i)
+    assert an_multiplicity_vector(plus, cls).entries == an_multiplicity_vector(minus, cls).entries
 
 
 # --- power conjugacy -----------------------------------------------------------

