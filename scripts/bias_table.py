@@ -10,6 +10,7 @@ optionally cross-checking each value against the root-of-unity defining sum.
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -50,4 +51,10 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE
+    sys.exit(code)

@@ -9,6 +9,7 @@ brute-force range) the character-sum verdict with its least-hit irreducible.
 """
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -59,4 +60,10 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE
+    sys.exit(code)

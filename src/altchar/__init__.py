@@ -11,7 +11,6 @@ from .partitions import (
     has_distinct_odd_parts,
     is_self_conjugate,
     parse_partition,
-    partitions,
     phi,
 )
 from .characters import (
@@ -30,6 +29,7 @@ from .multiplicity import (
     MultiplicityVector,
     an_multiplicity_vector,
     bias_oracle,
+    bias_vector,
     power_conjugacy,
     power_cycle_type,
     sn_multiplicity_oracle,

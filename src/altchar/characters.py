@@ -87,19 +87,16 @@ def mn_character(lam: Partition, mu: Partition) -> int:
 
 def in_alternating(mu: Partition) -> bool:
     """True when permutations of cycle type mu are even."""
-    mu = check_partition(mu)
     return sum(1 for p in mu if p % 2 == 0) % 2 == 0
 
 
 def class_splits(mu: Partition) -> bool:
     """True when the symmetric-group class of type mu splits in two."""
-    mu = check_partition(mu)
     return sum(mu) >= 2 and has_distinct_odd_parts(mu)
 
 
 def irrep_splits(lam: Partition) -> bool:
     """True when the restriction of shape lam splits in two."""
-    lam = check_partition(lam)
     return sum(lam) >= 2 and is_self_conjugate(lam)
 
 
@@ -302,7 +299,7 @@ def an_character(rep: AnIrrep, cls: AnClass) -> QuadValue:
     if rep.n != cls.n:
         raise ValueError("size mismatch between irreducible and class")
     if rep.tag == TAG_NONE:
-        return QuadValue.whole(mn_character(rep.lam, cls.mu))
+        return QuadValue.whole(_mn(rep.lam, cls.mu))
     if cls.tag and phi(cls.mu) == rep.lam:
         data = cycle_type_data(cls.mu)
         eps = data.epsilon
@@ -311,7 +308,7 @@ def an_character(rep: AnIrrep, cls: AnClass) -> QuadValue:
         root, core = _squarefree_split(data.M)
         b = root if rep.tag == cls.tag else -root
         return QuadValue(eps, b, eps * core)
-    return QuadValue.half(mn_character(rep.lam, cls.mu))
+    return QuadValue.half(_mn(rep.lam, cls.mu))
 
 
 @dataclass(frozen=True)

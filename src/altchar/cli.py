@@ -4,7 +4,7 @@ Every subcommand prints one output record -- command echo, inputs, results,
 provenance -- as human-readable text (default), JSON, or CSV.  JSON output is
 byte-identical across runs for identical inputs; wall-clock timing is only
 attached when --timing is passed.  Exit codes: 0 success, 1 internal check
-failure, 2 bad input.
+failure, 2 bad input, 141 when stdout is closed before the output is written.
 
 Every partition-valued option (--irrep, --class, --mu) is read by
 characters.parse_label and validated once, in _operands, before any
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -460,7 +461,12 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
-    _emit(out, args.format, args.timing, time.perf_counter() - start)
+    try:
+        _emit(out, args.format, args.timing, time.perf_counter() - start)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     return out.exit_code
 
 

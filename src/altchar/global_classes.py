@@ -40,7 +40,7 @@ from .characters import (
     class_splits,
     in_alternating,
     an_character,
-    mn_character,
+    _mn,
 )
 from .errors import InternalCheckError
 from .partitions import (
@@ -60,7 +60,6 @@ _GLOBAL_EXCEPTIONS = {(3, 1), (3, 3), (5, 3), (3, 3, 1, 1)}
 
 def qualifies(mu: Partition) -> bool:
     """Hypothesis of the classification: >= 2 parts, all odd, none thrice."""
-    mu = check_partition(mu)
     if len(mu) < 2 or any(p % 2 == 0 for p in mu):
         return False
     return max(Counter(mu).values()) <= 2
@@ -105,16 +104,17 @@ def is_global_class(mu: Partition) -> GlobalVerdict:
 # the centralizer, explicitly
 
 
-def centralizer_elements(mu: Partition, limit: int = _EXPLICIT_LIMIT) -> list[perms.Perm]:
+def centralizer_elements(mu: Partition) -> list[perms.Perm]:
     """All permutations commuting with standard_rep(mu), by direct product.
 
     Per family of k cycles of common length l the factor is C_l wr S_k:
     an independent rotation of each cycle and a permutation of the blocks.
+    The route dispatch in an_inner_products sends only centralizers of at
+    most _EXPLICIT_LIMIT elements here.
     """
-    mu = check_partition(mu)
     order = centralizer_order_sn(mu)
-    if order > limit:
-        raise ValueError(f"centralizer order {order} exceeds limit {limit}")
+    if order > _EXPLICIT_LIMIT:
+        raise InternalCheckError(f"centralizer order {order} exceeds {_EXPLICIT_LIMIT}")
     n = sum(mu)
     blocks: dict[int, list[list[int]]] = {}
     start = 0
@@ -233,7 +233,6 @@ def _wreath_type_distribution(length: int, k: int) -> tuple[tuple[Partition, int
 
 def centralizer_type_distribution(mu: Partition) -> dict[Partition, int]:
     """How many centralizer elements of standard_rep(mu) have each cycle type."""
-    mu = check_partition(mu)
     dist: Counter = Counter({(): 1})
     for length, k in sorted(Counter(mu).items()):
         merged: Counter = Counter()
@@ -255,7 +254,7 @@ def _inner_products_distribution(mu: Partition) -> dict[AnIrrep, int]:
     """
     n = sum(mu)
     if class_splits(mu):
-        raise ValueError("distribution route needs an odd element in the centralizer")
+        raise InternalCheckError(f"distribution route needs an odd element in the centralizer of {mu}")
     even_part = {
         t: c for t, c in centralizer_type_distribution(mu).items() if in_alternating(t)
     }
@@ -266,7 +265,7 @@ def _inner_products_distribution(mu: Partition) -> dict[AnIrrep, int]:
     for rep in an_irreps(n):
         total = 0
         for t, count in even_part.items():
-            total += count * mn_character(rep.lam, t)
+            total += count * _mn(rep.lam, t)
         if rep.tag != TAG_NONE:
             num, rem = divmod(total, 2)
             if rem != 0:
@@ -281,9 +280,6 @@ def _inner_products_distribution(mu: Partition) -> dict[AnIrrep, int]:
 
 def an_inner_products(mu: Partition) -> tuple[dict[AnIrrep, int], str]:
     """Multiplicities of each irreducible in the induced trivial, plus the route."""
-    mu = check_partition(mu)
-    if not in_alternating(mu):
-        raise ValueError(f"cycle type {mu} is odd, not an alternating class")
     if class_splits(mu) or centralizer_order_sn(mu) <= _EXPLICIT_LIMIT:
         return _inner_products_explicit(mu), "explicit-centralizer"
     return _inner_products_distribution(mu), "type-distribution"
@@ -294,6 +290,8 @@ def global_brute_force(mu: Partition, bound: int = BRUTE_FORCE_BOUND) -> GlobalV
     mu = check_partition(mu)
     if sum(mu) > bound:
         raise ValueError(f"brute force bounded at n={bound}; raise it explicitly if intended")
+    if not in_alternating(mu):
+        raise ValueError(f"cycle type {mu} is odd, not an alternating class")
     inner, method = an_inner_products(mu)
     if inner[AnIrrep((sum(mu),))] < 1:
         raise InternalCheckError(f"the trivial irreducible is missed at {mu}")

@@ -35,9 +35,9 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from .characters import TAG_NONE, AnClass, AnIrrep, mn_character
+from .characters import TAG_NONE, AnClass, AnIrrep, _mn, mn_character
 from .errors import InternalCheckError
-from .numtheory import divisors, jacobi, p_adic_split, ramanujan, unit_sum
+from .numtheory import divisors, jacobi, p_adic_split, ramanujan
 from .partitions import (
     Partition,
     check_partition,
@@ -68,12 +68,9 @@ def power_cycle_type(mu: Partition, d: int) -> Partition:
     return _power_type(check_partition(mu), d)
 
 
-def _order(mu: Partition) -> int:
-    return math.lcm(*mu) if mu else 1
-
-
 def order_of_type(mu: Partition) -> int:
-    return _order(check_partition(mu))
+    """Order of a permutation of cycle type mu: the lcm of its parts."""
+    return math.lcm(*mu) if mu else 1
 
 
 def _check_pair(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
@@ -103,9 +100,9 @@ class MultiplicityVector:
 
 def _sn_entries(lam: Partition, mu: Partition) -> tuple[int, ...]:
     """The entries of sn_multiplicity_vector; lam and mu are trusted, of equal size."""
-    m = _order(mu)
+    m = order_of_type(mu)
     divs = divisors(m)
-    chi = [mn_character(lam, _power_type(mu, d)) for d in divs]
+    chi = [_mn(lam, _power_type(mu, d)) for d in divs]
     by_gcd = {}
     for g in divs:
         total = sum(c * ramanujan(m // d, g) for c, d in zip(chi, divs))
@@ -258,9 +255,9 @@ def bias_vector(mu: Partition) -> tuple[BiasResult, ...]:
     odd_core.  With the orientation of the defining Fourier sum, an
     odd-exponent prime p contributes p**(f-1) * (-u*m/p**f | p) * g(p) at
     d == f-1 and zero otherwise, where g(p) is sqrt(p) for p = 1 mod 4 and
-    i*sqrt(p) for p = 3 mod 4; an even-exponent prime contributes its unit
-    sum at i.  With t odd-exponent primes of residue 3 mod 4, the
-    irrational parts combine to
+    i*sqrt(p) for p = 3 mod 4; an even-exponent prime contributes the
+    Ramanujan sum c_{p**f}(i).  With t odd-exponent primes of residue
+    3 mod 4, the irrational parts combine to
 
         sqrt(eps*M) * prod g(p) = i**([eps < 0] + t) * root * odd_core,
 
@@ -299,7 +296,7 @@ def bias_vector(mu: Partition) -> tuple[BiasResult, ...]:
         for r in range(q):
             d, u = p_adic_split(r, pd.p, pd.f)
             if j >= data.s:
-                factor = unit_sum(pd.p, pd.f, r)
+                factor = ramanujan(q, r)
             elif d == pd.f - 1:
                 factor = pd.p ** (pd.f - 1) * jacobi(-(data.m // q) * u, pd.p)
             else:

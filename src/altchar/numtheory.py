@@ -1,11 +1,11 @@
-"""Jacobi symbols, divisor functions, Ramanujan sums and prime-power unit sums.
+"""Jacobi symbols, divisor functions and Ramanujan sums.
 
-unit_sum evaluates
+ramanujan(q, i) evaluates
 
-    sum over units l mod p**f of  zeta^(i*l),   zeta = exp(2*pi*I/p**f),
+    sum over units l mod q of  zeta^(i*l),   zeta = exp(2*pi*I/q),
 
-for odd primes p, and p_adic_split gives the (d, u) with i == u * p**d
-mod p**f on which it and the split bias depend.  Everything is an integer.
+and p_adic_split gives the (d, u) with i == u * p**d mod p**f on which
+the split bias depends.  Everything is an integer.
 """
 
 from __future__ import annotations
@@ -99,29 +99,6 @@ def p_adic_split(i: int, p: int, f: int) -> tuple[int, int]:
         r //= p
         d += 1
     return d, r
-
-
-def unit_sum(p: int, f: int, i: int) -> int:
-    """Sum of zeta^(i*l) over units l mod p**f, zeta of order p**f.
-
-    Equals  p**f - p**(f-1)  when p**f divides i,
-            -p**(f-1)        when i is exactly divisible by p**(f-1),
-            0                otherwise.
-    """
-    _require_odd_prime_power(p, f)
-    d, _ = p_adic_split(i, p, f)
-    if d == f:
-        return p**f - p ** (f - 1)
-    if d == f - 1:
-        return -(p ** (f - 1))
-    return 0
-
-
-def _require_odd_prime_power(p: int, f: int) -> None:
-    if f < 1:
-        raise ValueError("f must be at least 1")
-    if p == 2 or factorize(p) != ((p, 1),):
-        raise ValueError("p must be an odd prime")
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:

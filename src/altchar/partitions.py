@@ -1,9 +1,14 @@
 """Integer partitions, the hook bijection phi, and cycle-type arithmetic.
 
 A partition is a plain tuple of weakly decreasing positive integers; the
-empty tuple is the unique partition of 0.  Functions validate their input
-and raise InvalidPartitionError on malformed tuples, so downstream code
-can assume canonical form.
+empty tuple is the unique partition of 0.
+
+A partition is checked once, where it enters the library: by
+parse_partition when it arrives as text, by the AnIrrep and AnClass
+constructors when it arrives as a label, and by every partition-taking
+function that the altchar package exports.  Each raises
+InvalidPartitionError on a malformed tuple.  Code below those points,
+here and in the other modules, takes canonical tuples on trust.
 """
 
 from __future__ import annotations
@@ -122,10 +127,14 @@ def phi(mu: Partition) -> Partition:
     return tuple(rows + [sum(1 for row in rows if row > r) for r in range(d, depth)])
 
 
-@cache
 def dimension(lam: Partition) -> int:
     """Number of standard Young tableaux of shape lam (hook length formula)."""
-    lam = check_partition(lam)
+    return _dimension(check_partition(lam))
+
+
+@cache
+def _dimension(lam: Partition) -> int:
+    # Checked before the memo: (True,) and (2.0,) hash like (1,) and (2,).
     n = sum(lam)
     lamc = conjugate(lam)
     denom = 1
@@ -137,7 +146,6 @@ def dimension(lam: Partition) -> int:
 
 def centralizer_order_sn(mu: Partition) -> int:
     """Order of the centralizer in the symmetric group of a permutation of cycle type mu."""
-    mu = check_partition(mu)
     z = 1
     for part, k in Counter(mu).items():
         z *= part**k * math.factorial(k)
@@ -145,13 +153,11 @@ def centralizer_order_sn(mu: Partition) -> int:
 
 
 def sn_class_size(mu: Partition) -> int:
-    mu = check_partition(mu)
     return math.factorial(sum(mu)) // centralizer_order_sn(mu)
 
 
 def sn_parity(mu: Partition) -> int:
     """Sign of any permutation with cycle type mu (+1 or -1)."""
-    mu = check_partition(mu)
     return -1 if (sum(mu) - len(mu)) % 2 else 1
 
 

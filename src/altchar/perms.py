@@ -7,7 +7,7 @@ tuple-out and need no classes.
 
 from __future__ import annotations
 
-from .partitions import Partition, check_partition
+from .partitions import Partition
 
 Perm = tuple[int, ...]
 
@@ -80,7 +80,6 @@ def standard_rep(mu: Partition) -> Perm:
     >>> standard_rep((3, 2))
     (1, 2, 0, 4, 3)
     """
-    mu = check_partition(mu)
     images = list(range(sum(mu)))
     start = 0
     for part in mu:

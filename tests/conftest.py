@@ -2,9 +2,14 @@
 and test-only helpers that more than one test module uses."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import altchar
 from altchar.partitions import has_distinct_odd_parts, is_self_conjugate, partitions
 
 
@@ -40,3 +45,20 @@ def multiplication_perm(i: int, modulus: int) -> tuple[int, ...]:
     if math.gcd(i, modulus) != 1:
         raise ValueError("i must be a unit modulo the modulus")
     return tuple((i * x) % modulus for x in range(modulus))
+
+
+def run_with_closed_stdout(args: list[str]) -> tuple[int, str]:
+    """Run python with args, its stdout a pipe whose read end is already closed.
+
+    Returns the exit code and stderr.  The parent closes the read end as
+    soon as the child starts, long before the child has imported anything.
+    """
+    src = str(Path(altchar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=300), err

@@ -16,6 +16,7 @@ from altchar import global_classes
 from altchar.characters import QuadValue, class_splits, irrep_splits
 from altchar.cli import main
 from altchar.partitions import parse_partition
+from conftest import run_with_closed_stdout
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -181,6 +182,16 @@ def test_global_out_of_scope_attaches_brute_force():
     assert record["results"]["closed_form"]["is_global"] is None
     assert record["results"]["brute_force"]["is_global"] is False
     assert record["results"]["brute_force"]["witness"]["multiplicity"] == 0
+
+
+def test_closed_stdout_exits_141():
+    """A reader that goes away early, as `| head` does, is no internal failure."""
+    code, err = run_with_closed_stdout(
+        ["-m", "altchar.cli", "--format", "csv", "eigmult", "--group", "sn",
+         "--irrep", "20,5,3,2", "--class", "13,11,3,3"]
+    )
+    assert code == 141, err
+    assert "Traceback" not in err
 
 
 def test_selftest_checks_survive_optimized_mode():

@@ -1,4 +1,4 @@
-"""The examples the project publishes: module doctests and README sessions."""
+"""The examples the project publishes: module doctests, README examples and sessions."""
 
 import doctest
 import importlib
@@ -23,6 +23,11 @@ MODULES = sorted(
 def test_doctests(name):
     result = doctest.testmod(importlib.import_module(name))
     assert result.failed == 0
+
+
+def test_readme_library_examples():
+    result = doctest.testfile(str(README), module_relative=False)
+    assert result.attempted > 0 and result.failed == 0
 
 
 def readme_sessions() -> list[tuple[str, str]]:

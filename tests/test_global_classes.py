@@ -5,6 +5,7 @@ import pytest
 
 from altchar import perms
 from altchar.characters import AnIrrep, mn_character
+from altchar.errors import InternalCheckError
 from altchar.global_classes import (
     _inner_products_distribution,
     an_inner_products,
@@ -66,6 +67,14 @@ def test_split_class_of():
 def test_split_class_of_rejects_non_split_types():
     with pytest.raises(ValueError):
         split_class_of(perms.standard_rep((3, 3)))
+
+
+def test_route_preconditions_are_internal_errors():
+    """The route dispatch keeps both unreachable; a bug that breaks it is no bad input."""
+    with pytest.raises(InternalCheckError):
+        centralizer_elements((1,) * 10)  # 10! elements, past the explicit limit
+    with pytest.raises(InternalCheckError):
+        _inner_products_distribution((5, 3))  # split type: no odd centralizer element
 
 
 # --- brute force ----------------------------------------------------------------

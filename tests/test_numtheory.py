@@ -12,7 +12,6 @@ from altchar.numtheory import (
     moebius,
     p_adic_split,
     ramanujan,
-    unit_sum,
 )
 from conftest import multiplication_perm
 
@@ -106,13 +105,13 @@ def test_p_adic_split_reconstructs(i):
 
 @pytest.mark.parametrize("q", ODD_PRIME_POWERS)
 def test_unit_sum_against_floats(q):
+    """The unit sum over a prime power, which bias_vector uses, is ramanujan(q, i)."""
     p = min(pp for pp in range(2, q + 1) if q % pp == 0)
-    f = round(math.log(q, p))
-    for i in range(q):
+    for i in range(-q, 2 * q):
         direct = _zeta_power_sum(
             q, ((u * i % q, 1) for u in range(q) if u % p != 0)
         )
-        assert abs(direct - unit_sum(p, f, i)) < 1e-7
+        assert abs(direct - ramanujan(q, i)) < 1e-7
 
 
 # --- the Gauss sums behind the integer bias form ------------------------------

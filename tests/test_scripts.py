@@ -4,6 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from conftest import run_with_closed_stdout
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -24,3 +28,13 @@ def test_global_scan_finds_no_mismatch():
     proc = run_script("global_scan.py", "--max-n", "8", "--only-qualifying")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.rstrip().endswith(", 0 mismatches")
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [("bias_table.py", ["--max-n", "9"]), ("global_scan.py", ["--max-n", "6"])],
+)
+def test_closed_stdout_ends_quietly(script, args):
+    code, err = run_with_closed_stdout([str(SCRIPTS / script), *args])
+    assert code == 141, err
+    assert "Traceback" not in err
