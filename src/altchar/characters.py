@@ -23,7 +23,6 @@ from .partitions import (
     dimension,
     format_partition,
     has_distinct_odd_parts,
-    is_self_conjugate,
     parse_partition,
     partitions,
     phi,
@@ -77,7 +76,7 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
-        raise ValueError(f"sizes differ: |{lam}| != |{mu}|")
+        raise ValueError(f"sizes differ: |{format_partition(lam)}| != |{format_partition(mu)}|")
     return _mn(lam, mu)
 
 
@@ -97,7 +96,13 @@ def class_splits(mu: Partition) -> bool:
 
 def irrep_splits(lam: Partition) -> bool:
     """True when the restriction of shape lam splits in two."""
-    return sum(lam) >= 2 and is_self_conjugate(lam)
+    return _transpose_and_split(lam)[1]
+
+
+def _transpose_and_split(lam: Partition) -> tuple[Partition, bool]:
+    """The transpose of lam, and whether lam splits, from one transpose."""
+    lamc = conjugate(lam)
+    return lamc, sum(lam) >= 2 and lam == lamc
 
 
 def parse_label(label: str) -> tuple[Partition, str]:
@@ -154,11 +159,6 @@ class AnClass:
     def label(self) -> str:
         return format_partition(self.mu) + (f":{self.tag}" if self.tag else "")
 
-    @staticmethod
-    def from_label(label: str) -> "AnClass":
-        mu, tag = parse_label(label)
-        return AnClass(mu, tag)
-
 
 @dataclass(frozen=True)
 class AnIrrep:
@@ -174,13 +174,14 @@ class AnIrrep:
 
     def __post_init__(self) -> None:
         lam = check_partition(self.lam)
+        lamc, splits = _transpose_and_split(lam)
         if self.tag == TAG_NONE:
-            object.__setattr__(self, "lam", max(lam, conjugate(lam)))
-            if irrep_splits(lam):
+            object.__setattr__(self, "lam", max(lam, lamc))
+            if splits:
                 raise ValueError(f"shape {format_partition(lam)} is self-conjugate; a ':+' or ':-' tag is required")
         elif self.tag in (TAG_PLUS, TAG_MINUS):
             object.__setattr__(self, "lam", lam)
-            if not irrep_splits(lam):
+            if not splits:
                 raise ValueError(f"shape {format_partition(lam)} does not split; no tag allowed")
         else:
             raise ValueError(f"bad tag {self.tag!r}")
@@ -200,14 +201,13 @@ class AnIrrep:
     def label(self) -> str:
         return format_partition(self.lam) + (f":{self.tag}" if self.tag else "")
 
-    @staticmethod
-    def from_label(label: str) -> "AnIrrep":
-        lam, tag = parse_label(label)
-        return AnIrrep(lam, tag)
 
-
+@cache
 def an_classes(n: int) -> tuple[AnClass, ...]:
-    """Conjugacy classes of the alternating group on n points."""
+    """Conjugacy classes of the alternating group on n points.
+
+    The memo holds one shared tuple of frozen labels per n asked.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     out = []
@@ -222,16 +222,21 @@ def an_classes(n: int) -> tuple[AnClass, ...]:
     return tuple(out)
 
 
+@cache
 def an_irreps(n: int) -> tuple[AnIrrep, ...]:
-    """Irreducibles of the alternating group on n points."""
+    """Irreducibles of the alternating group on n points, trivial first.
+
+    The memo holds one shared tuple of frozen labels per n asked.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     out = []
     for lam in partitions(n):
-        if irrep_splits(lam):
+        lamc, splits = _transpose_and_split(lam)
+        if splits:
             out.append(AnIrrep(lam, TAG_PLUS))
             out.append(AnIrrep(lam, TAG_MINUS))
-        elif lam >= conjugate(lam):
+        elif lam >= lamc:
             out.append(AnIrrep(lam))
     return tuple(out)
 
@@ -319,9 +324,6 @@ class CharacterTable:
     irreps: tuple[AnIrrep, ...]
     classes: tuple[AnClass, ...]
     values: tuple[tuple[QuadValue, ...], ...]
-
-    def value(self, rep: AnIrrep, cls: AnClass) -> QuadValue:
-        return self.values[self.irreps.index(rep)][self.classes.index(cls)]
 
     def group_order(self) -> int:
         return max(math.factorial(self.n) // 2, 1)

@@ -92,7 +92,7 @@ def is_global_class(mu: Partition) -> GlobalVerdict:
     """Closed-form verdict; is_global is None outside the classified family."""
     mu = check_partition(mu)
     if not in_alternating(mu):
-        raise ValueError(f"cycle type {mu} is odd, not an alternating class")
+        raise ValueError(f"cycle type {format_partition(mu)} is odd, not an alternating class")
     if not qualifies(mu):
         return GlobalVerdict(mu, None, "global:out-of-scope", "closed-form")
     if mu in _GLOBAL_EXCEPTIONS:
@@ -150,16 +150,11 @@ def split_class_of(sigma: perms.Perm) -> str:
     """Tag of the split class containing sigma (cycle type must split)."""
     t = perms.cycle_type(sigma)
     if not class_splits(t):
-        raise ValueError(f"cycle type {t} does not split")
+        raise ValueError(f"cycle type {format_partition(t)} does not split")
     rho = perms.conjugator(perms.standard_rep(t), sigma)
     if rho is None:
         raise InternalCheckError(f"no conjugator into the class of {sigma}")
     return TAG_PLUS if perms.sign(rho) == 1 else TAG_MINUS
-
-
-def _an_class_of(sigma: perms.Perm) -> AnClass:
-    t = perms.cycle_type(sigma)
-    return AnClass(t, split_class_of(sigma) if class_splits(t) else TAG_NONE)
 
 
 class _QuadAccumulator:
@@ -183,7 +178,11 @@ class _QuadAccumulator:
 def _inner_products_explicit(mu: Partition) -> dict[AnIrrep, int]:
     n = sum(mu)
     elements = [g for g in centralizer_elements(mu) if perms.sign(g) == 1]
-    by_class = Counter(_an_class_of(g) for g in elements)
+    by_key: Counter = Counter()
+    for g in elements:
+        t = perms.cycle_type(g)
+        by_key[t, split_class_of(g) if class_splits(t) else TAG_NONE] += 1
+    by_class = {AnClass(t, tag): count for (t, tag), count in by_key.items()}
     out = {}
     for rep in an_irreps(n):
         acc = _QuadAccumulator()
@@ -291,9 +290,9 @@ def global_brute_force(mu: Partition, bound: int = BRUTE_FORCE_BOUND) -> GlobalV
     if sum(mu) > bound:
         raise ValueError(f"brute force bounded at n={bound}; raise it explicitly if intended")
     if not in_alternating(mu):
-        raise ValueError(f"cycle type {mu} is odd, not an alternating class")
+        raise ValueError(f"cycle type {format_partition(mu)} is odd, not an alternating class")
     inner, method = an_inner_products(mu)
-    if inner[AnIrrep((sum(mu),))] < 1:
+    if inner[an_irreps(sum(mu))[0]] < 1:
         raise InternalCheckError(f"the trivial irreducible is missed at {mu}")
     rep, least = min(inner.items(), key=lambda kv: (kv[1], kv[0].label()))
     return GlobalVerdict(

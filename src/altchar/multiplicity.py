@@ -272,7 +272,7 @@ def bias_vector(mu: Partition) -> tuple[BiasResult, ...]:
     """
     mu = check_partition(mu)
     if not has_distinct_odd_parts(mu):
-        raise ValueError(f"bias is defined for distinct odd parts only: {mu}")
+        raise ValueError(f"bias is defined for distinct odd parts only: {format_partition(mu)}")
     data = cycle_type_data(mu)
     if data.epsilon is None:
         raise InternalCheckError(f"no sign epsilon for distinct odd type {mu}")

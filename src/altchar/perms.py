@@ -3,6 +3,10 @@
 A permutation is a tuple ``w`` where ``w[x]`` is the image of ``x``.  This
 format composes with plain indexing, so the helpers below stay tuple-in,
 tuple-out and need no classes.
+
+Three production paths use explicit permutations: the explicit centralizer
+route of global_classes, multiplicity.sn_multiplicity_oracle, and
+acceptance criterion 6 (power conjugacy by conjugator parity).
 """
 
 from __future__ import annotations
@@ -32,13 +36,6 @@ def compose(a: Perm, b: Perm) -> Perm:
     if len(a) != len(b):
         raise ValueError("size mismatch")
     return tuple(a[b[x]] for x in range(len(b)))
-
-
-def inverse(a: Perm) -> Perm:
-    inv = [0] * len(a)
-    for x, y in enumerate(a):
-        inv[y] = x
-    return tuple(inv)
 
 
 def cycles(a: Perm) -> list[tuple[int, ...]]:

@@ -40,6 +40,14 @@ def small_perms(draw, max_n: int = 8):
     return tuple(draw(st.permutations(range(n))))
 
 
+def inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse permutation word of a."""
+    inv = [0] * len(a)
+    for x, y in enumerate(a):
+        inv[y] = x
+    return tuple(inv)
+
+
 def multiplication_perm(i: int, modulus: int) -> tuple[int, ...]:
     """The permutation x -> i*x mod modulus on {0, ..., modulus-1}."""
     if math.gcd(i, modulus) != 1:

@@ -15,6 +15,7 @@ from altchar.characters import (
     in_alternating,
     irrep_splits,
     mn_character,
+    parse_label,
 )
 from altchar.partitions import (
     centralizer_order_sn,
@@ -82,10 +83,10 @@ def test_split_predicates():
 
 
 def test_labels_round_trip():
-    assert AnClass.from_label("5,3:+").label() == "5,3:+"
-    assert AnClass.from_label("3,1,1").label() == "3,1,1"
-    assert AnIrrep.from_label("2,1:-").label() == "2,1:-"
-    assert AnIrrep.from_label("3,1").label() == "3,1"
+    assert AnClass(*parse_label("5,3:+")).label() == "5,3:+"
+    assert AnClass(*parse_label("3,1,1")).label() == "3,1,1"
+    assert AnIrrep(*parse_label("2,1:-")).label() == "2,1:-"
+    assert AnIrrep(*parse_label("3,1")).label() == "3,1"
 
 
 def test_tag_validation():
@@ -104,6 +105,11 @@ def test_tag_validation():
 def test_whole_irreps_identify_conjugate_shapes():
     assert AnIrrep((3, 1)) == AnIrrep((2, 1, 1))
     assert AnIrrep((3, 1)).lam == (3, 1)
+
+
+def test_label_sets_are_built_once_per_n():
+    assert an_irreps(7) is an_irreps(7)
+    assert an_classes(7) is an_classes(7)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -152,13 +158,18 @@ def test_a5_golden_ratio_entries():
     assert (swapped.a, swapped.b, swapped.D) == (1, -1, 5)
 
 
+def table_value(table, rep: AnIrrep, cls: AnClass) -> QuadValue:
+    """The entry of table at the row of rep and the column of cls."""
+    return table.values[table.irreps.index(rep)][table.classes.index(cls)]
+
+
 def test_a3_table_is_the_cube_root_table():
     table = character_table_an(3)
     dims = sorted(r.dim() for r in table.irreps)
     assert dims == [1, 1, 1]
     omega_class = AnClass((3,), "+")
     values = sorted(
-        (v.a, v.b, v.D) for v in (table.value(r, omega_class) for r in table.irreps)
+        (v.a, v.b, v.D) for v in (table_value(table, r, omega_class) for r in table.irreps)
     )
     # 1 and the two primitive cube roots (-1 +- sqrt(-3))/2
     assert values == [(-1, -1, -3), (-1, 1, -3), (2, 0, 0)]

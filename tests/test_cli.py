@@ -13,6 +13,7 @@ from jsonschema import validate
 
 import altchar
 from altchar import global_classes
+from altchar.acceptance import ALL_CRITERIA
 from altchar.characters import QuadValue, class_splits, irrep_splits
 from altchar.cli import main
 from altchar.partitions import parse_partition
@@ -199,11 +200,11 @@ def test_selftest_checks_survive_optimized_mode():
     src = str(Path(altchar.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "altchar.cli", "--format", "json", "selftest", "--criteria", "1,2,3,6,7,8"],
+        [sys.executable, "-O", "-m", "altchar.cli", "--format", "json", "selftest"],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["results"]["passed"] == 6
+    assert json.loads(proc.stdout)["results"]["passed"] == len(ALL_CRITERIA)
 
 
 def test_irrational_inner_product_exits_1(monkeypatch):
@@ -254,6 +255,19 @@ def test_operand_errors_exit_2(argv):
 def test_missing_tag_message_keeps_the_label_form():
     _, _, err = run_cli("eigmult", "--group", "an", "--irrep", "2,1", "--class", "3:+")
     assert err == "error: shape 2,1 is self-conjugate; a ':+' or ':-' tag is required\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["global", "--mu", "2,1"], "cycle type 2,1 is odd, not an alternating class"),
+        (["bias", "--mu", "4,2"], "bias is defined for distinct odd parts only: 4,2"),
+    ],
+    ids=["global", "bias"],
+)
+def test_error_messages_print_partitions_as_labels(argv, message):
+    code, out, err = run_cli(*argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from altchar import perms
-from altchar.characters import AnIrrep, mn_character
+from altchar.characters import AnClass, AnIrrep, an_classes, mn_character
 from altchar.errors import InternalCheckError
 from altchar.global_classes import (
     _inner_products_distribution,
@@ -17,6 +17,7 @@ from altchar.global_classes import (
     split_class_of,
 )
 from altchar.partitions import centralizer_order_sn, partitions
+from conftest import inverse
 
 
 def test_qualifies():
@@ -59,9 +60,39 @@ def test_split_class_of():
     w = perms.standard_rep((5, 3))
     assert split_class_of(w) == "+"
     t = (1, 0) + tuple(range(2, 8))  # conjugate by a transposition
-    swapped = perms.compose(perms.compose(t, w), perms.inverse(t))
+    swapped = perms.compose(perms.compose(t, w), inverse(t))
     assert split_class_of(swapped) == "-"
     assert split_class_of(perms.perm_power(w, 2)) == "+"  # jacobi(2,15)=1
+
+
+def constructions(monkeypatch, label_class) -> list:
+    """A list that grows by one for every label_class object built from now on."""
+    built = []
+    original = label_class.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(label_class, "__post_init__", counted)
+    return built
+
+
+def test_a_repeated_n_builds_no_irreducible(monkeypatch):
+    global_brute_force((5, 3, 1))
+    built = constructions(monkeypatch, AnIrrep)
+    assert global_brute_force((7, 1, 1)).is_global
+    assert built == []
+
+
+def test_the_explicit_route_builds_one_class_label_per_class(monkeypatch):
+    mu = (5, 5, 3, 3, 1, 1)
+    limit = len(an_classes(sum(mu)))
+    built = constructions(monkeypatch, AnClass)
+    verdict = global_brute_force(mu, bound=sum(mu))
+    assert verdict.method == "explicit-centralizer"
+    assert sum(perms.sign(g) == 1 for g in centralizer_elements(mu)) == 900
+    assert 0 < len(built) <= limit
 
 
 def test_split_class_of_rejects_non_split_types():

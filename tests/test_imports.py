@@ -1,6 +1,8 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+public function and method has a caller.
 
-The package's __init__ imports names to re-export them and is left out.
+The package's __init__ imports names to re-export them and is left out of
+the unused-import scan.
 """
 
 import ast
@@ -10,7 +12,9 @@ import pytest
 
 import altchar
 
-MODULES = sorted(p for p in Path(altchar.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(altchar.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -44,3 +48,63 @@ def test_no_unused_imports(path):
 def test_the_scan_flags_a_stale_import():
     source = "import cmath\nfrom fractions import Fraction\nfrom . import perms\n\nx = perms.sign\n"
     assert _unused_imports(source) == ["cmath (line 1)", "Fraction (line 2)"]
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualified name, bare name) of each public top-level function and public method."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            out.append((node.name, node.name))
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    out.append((f"{node.name}.{item.name}", item.name))
+    return out
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name and attribute name that the module's code reads."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _uncalled(modules: dict[str, str], init_source: str, scripts: list[str]) -> list[str]:
+    exported = set(_imported_names(ast.parse(init_source)))
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    used = set().union(*map(_references, trees.values()), *(_references(ast.parse(s)) for s in scripts))
+    return [
+        f"{module}.{qualified}"
+        for module, tree in trees.items()
+        for qualified, name in _public_definitions(tree)
+        if name not in exported and name not in used
+    ]
+
+
+def test_public_api_has_a_caller():
+    """A public function or method that altchar does not export is read somewhere
+    in src/altchar or scripts/, or it goes.
+
+    The scan matches bare names, so a method whose name is a common attribute
+    slips past it: CharacterTable.value, say, would count as used because
+    bias entries have a .value field.  A call inside the defining module
+    counts, as for a helper that only its own module's engine calls.
+    """
+    modules = {p.stem: p.read_text() for p in MODULES}
+    scripts = [p.read_text() for p in SCRIPTS]
+    assert SCRIPTS
+    assert _uncalled(modules, (PACKAGE / "__init__.py").read_text(), scripts) == []
+
+
+def test_the_scan_flags_an_uncalled_method_and_function():
+    modules = {
+        "shapes": "class Box:\n    def area(self):\n        return 1\n\n    def spare(self):\n        pass\n\n"
+        "def helper():\n    return Box().area()\n\ndef orphan():\n    pass\n",
+        "engine": "from .shapes import helper\n\ndef run():\n    return helper()\n",
+    }
+    assert _uncalled(modules, "from .engine import run\n", []) == ["shapes.Box.spare", "shapes.orphan"]

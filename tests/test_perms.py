@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from altchar import perms
 from altchar.partitions import partitions, sn_parity
-from conftest import multiplication_perm, small_perms, small_partitions
+from conftest import inverse, multiplication_perm, small_perms, small_partitions
 
 
 @given(small_perms(), st.data())
@@ -19,8 +19,8 @@ def test_compose_associative(a, data):
 @given(small_perms())
 def test_inverse(a):
     e = perms.identity(len(a))
-    assert perms.compose(a, perms.inverse(a)) == e
-    assert perms.compose(perms.inverse(a), a) == e
+    assert perms.compose(a, inverse(a)) == e
+    assert perms.compose(inverse(a), a) == e
 
 
 @given(small_partitions)
@@ -55,10 +55,10 @@ def test_perm_power_matches_iteration(a, k):
 @given(small_perms(), st.data())
 def test_conjugator_conjugates(a, data):
     rho = tuple(data.draw(st.permutations(range(len(a)))))
-    b = perms.compose(perms.compose(rho, a), perms.inverse(rho))
+    b = perms.compose(perms.compose(rho, a), inverse(rho))
     found = perms.conjugator(a, b)
     assert found is not None
-    assert perms.compose(perms.compose(found, a), perms.inverse(found)) == b
+    assert perms.compose(perms.compose(found, a), inverse(found)) == b
 
 
 def test_conjugator_rejects_different_types():
