@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .characters import (
     TAG_MINUS,
     TAG_PLUS,
+    TABLE_BOUND,
     AnIrrep,
     an_classes,
     an_irreps,
@@ -194,8 +195,8 @@ def _criterion_7() -> tuple[bool, str]:
 
 
 def _criterion_8() -> tuple[bool, str]:
-    """Character tables through n=12: orthogonality and the dimension sum."""
-    for n in range(2, 13):
+    """Character tables through n=TABLE_BOUND: orthogonality and the dimension sum."""
+    for n in range(2, TABLE_BOUND + 1):
         table = character_table_an(n)
         order = table.group_order()
         if sum(r.dim() ** 2 for r in table.irreps) != order:
@@ -220,7 +221,7 @@ def _criterion_8() -> tuple[bool, str]:
                 )
                 if abs(inner - (1 if a == b else 0)) > 1e-8:
                     return False, f"column orthogonality fails at n={n} ({a},{b})"
-    return True, "orthogonality within 1e-8 and dim sums exact, n <= 12"
+    return True, f"orthogonality within 1e-8 and dim sums exact, n <= {TABLE_BOUND}"
 
 
 def _criterion_9() -> tuple[bool, str]:

@@ -1,10 +1,16 @@
 """Characters of symmetric and alternating groups, held exactly.
 
-Symmetric-group character values come from the border-strip recursion on
-first-column hook lengths.  Restricting to the alternating group, the
-representation of a non-self-conjugate shape stays irreducible (and equals
-that of its transpose), while a self-conjugate shape splits into a plus and
-a minus half; the split halves take values in Z[(1+sqrt(D))/2] for a single
+Symmetric-group character values come from the Murnaghan-Nakayama rule:
+strip every rim hook of length mu[0] off the shape and recurse on mu[1:].
+Both engines take their hooks from one rim-hook step on beta-sets,
+_rim_hooks.  _mn evaluates one entry, for single values, vectors and the
+global-class sums; _column gives every shape's value at one cycle type,
+through one transition table per (n, h), for the A_n character tables.
+
+Restricting to the alternating group, the representation of a
+non-self-conjugate shape stays irreducible (and equals that of its
+transpose), while a self-conjugate shape splits into a plus and a minus
+half; the split halves take values in Z[(1+sqrt(D))/2] for a single
 discriminant D per split class, which QuadValue stores exactly.
 """
 
@@ -22,7 +28,6 @@ from .partitions import (
     cycle_type_data,
     dimension,
     format_partition,
-    has_distinct_odd_parts,
     parse_partition,
     partitions,
     phi,
@@ -41,30 +46,57 @@ def _beta_set(lam: Partition) -> tuple[int, ...]:
     return tuple(lam[i] + k - 1 - i for i in range(k))
 
 
-def _beta_to_partition(beta: list[int]) -> Partition:
-    beta = sorted(beta, reverse=True)
-    k = len(beta)
-    lam = [beta[i] - (k - 1 - i) for i in range(k)]
-    return tuple(p for p in lam if p > 0)
+def _rim_hooks(lam: Partition, h: int) -> list[tuple[int, Partition]]:
+    """(sign, lam minus the rim hook) for each rim hook of length h in lam.
+
+    The one rim-hook step of the MN rule.  On the beta-set of lam, in
+    decreasing order, a hook moves one bead b down to an empty place
+    c = b - h; its height is the number of beads it passes, and its sign
+    is (-1)^height.
+    """
+    k = len(lam)
+    beta = _beta_set(lam)
+    present = set(beta)
+    out = []
+    for i, b in enumerate(beta):
+        c = b - h
+        if c < 0 or c in present:
+            continue
+        j = i + 1
+        while j < k and beta[j] > c:
+            j += 1
+        moved = beta[:i] + beta[i + 1 : j] + (c,) + beta[j:]
+        out.append(((-1) ** (j - i - 1), tuple(x - (k - 1 - t) for t, x in enumerate(moved) if x > k - 1 - t)))
+    return out
 
 
 @cache
 def _mn(lam: Partition, mu: Partition) -> int:
     if not mu:
         return 1
-    strip = mu[0]
-    rest = mu[1:]
-    beta = _beta_set(lam)
-    present = set(beta)
+    rest = mu[1:]  # one suffix tuple, shared by every child's memo key
     total = 0
-    for b in beta:
-        c = b - strip
-        if c < 0 or c in present:
-            continue
-        height = sum(1 for x in beta if c < x < b)
-        smaller = _beta_to_partition([c if x == b else x for x in beta])
-        total += (-1) ** height * _mn(smaller, rest)
+    for sign, smaller in _rim_hooks(lam, mu[0]):
+        total += sign * _mn(smaller, rest)
     return total
+
+
+@cache
+def _rim_table(n: int, h: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each lam in partitions(n): (sign, index in partitions(n - h)) per h-rim hook."""
+    index = {lam: i for i, lam in enumerate(partitions(n - h))}
+    return tuple(
+        tuple((sign, index[smaller]) for sign, smaller in _rim_hooks(lam, h)) for lam in partitions(n)
+    )
+
+
+@cache
+def _column(mu: Partition) -> tuple[int, ...]:
+    """The values chi^lam(mu) for every lam in partitions(sum(mu)), in that order."""
+    if not mu:
+        return (1,)
+    below = _column(mu[1:])
+    return tuple(sum(sign * below[i] for sign, i in row) for row in _rim_table(sum(mu), mu[0]))
 
 
 def mn_character(lam: Partition, mu: Partition) -> int:
@@ -91,7 +123,7 @@ def in_alternating(mu: Partition) -> bool:
 
 def class_splits(mu: Partition) -> bool:
     """True when the symmetric-group class of type mu splits in two."""
-    return sum(mu) >= 2 and has_distinct_odd_parts(mu)
+    return sum(mu) >= 2 and len(set(mu)) == len(mu) and all(p % 2 for p in mu)
 
 
 def irrep_splits(lam: Partition) -> bool:
@@ -303,8 +335,13 @@ def an_character(rep: AnIrrep, cls: AnClass) -> QuadValue:
     """
     if rep.n != cls.n:
         raise ValueError("size mismatch between irreducible and class")
+    return _an_value(rep, cls, _mn(rep.lam, cls.mu))
+
+
+def _an_value(rep: AnIrrep, cls: AnClass, chi: int) -> QuadValue:
+    """The value of rep at cls, given chi, the S_n value of rep.lam at cls.mu."""
     if rep.tag == TAG_NONE:
-        return QuadValue.whole(_mn(rep.lam, cls.mu))
+        return QuadValue.whole(chi)
     if cls.tag and phi(cls.mu) == rep.lam:
         data = cycle_type_data(cls.mu)
         eps = data.epsilon
@@ -313,7 +350,7 @@ def an_character(rep: AnIrrep, cls: AnClass) -> QuadValue:
         root, core = _squarefree_split(data.M)
         b = root if rep.tag == cls.tag else -root
         return QuadValue(eps, b, eps * core)
-    return QuadValue.half(_mn(rep.lam, cls.mu))
+    return QuadValue.half(chi)
 
 
 @dataclass(frozen=True)
@@ -343,11 +380,24 @@ TABLE_BOUND = 14
 
 
 def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
+    """The character table of the alternating group on n points, n <= bound.
+
+    Each class's cell values are read from one whole S_n column, the
+    values of every shape at its cycle type, which _column builds from the
+    columns of the type's suffixes by the MN rule.  Two unbounded memos
+    back it, as _mn's does: _column holds one tuple per suffix type asked
+    and _rim_table one tuple per (n, h) it met; the tables up to n = 18
+    leave 981 columns and 162 rim tables.  The tables never call _mn.
+    """
     if n > bound:
         raise ValueError(f"n={n} exceeds the table bound {bound}; raise it explicitly if intended")
     reps = an_irreps(n)
     classes = an_classes(n)
     if len(reps) != len(classes):
         raise InternalCheckError(f"A_{n} has {len(reps)} irreducibles but {len(classes)} classes")
-    values = tuple(tuple(an_character(r, c) for c in classes) for r in reps)
+    row_of = {lam: i for i, lam in enumerate(partitions(n))}
+    columns = [_column(c.mu) for c in classes]
+    values = tuple(
+        tuple(_an_value(r, c, col[row_of[r.lam]]) for c, col in zip(classes, columns)) for r in reps
+    )
     return CharacterTable(n, reps, classes, values)

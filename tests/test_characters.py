@@ -7,6 +7,8 @@ from altchar.characters import (
     AnClass,
     AnIrrep,
     QuadValue,
+    _column,
+    _mn,
     an_character,
     an_classes,
     an_irreps,
@@ -70,6 +72,14 @@ def test_column_orthogonality_exact(n):
         for nu in plist:
             inner = sum(mn_character(lam, mu) * mn_character(lam, nu) for lam in plist)
             assert inner == (centralizer_order_sn(mu) if mu == nu else 0)
+
+
+def test_columns_equal_the_recursion():
+    """The column engine agrees with the per-entry recursion on every entry, n <= 14."""
+    for n in range(15):
+        plist = partitions(n)
+        for mu in plist:
+            assert list(_column(mu)) == [_mn(lam, mu) for lam in plist]
 
 
 # --- the alternating side ----------------------------------------------------
@@ -173,6 +183,20 @@ def test_a3_table_is_the_cube_root_table():
     )
     # 1 and the two primitive cube roots (-1 +- sqrt(-3))/2
     assert values == [(-1, -1, -3), (-1, 1, -3), (2, 0, 0)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_table_cells_equal_an_character(n):
+    """Every cell, split and own-hook-type ones included, equals the per-entry value."""
+    table = character_table_an(n)
+    for rep, row in zip(table.irreps, table.values):
+        assert list(row) == [an_character(rep, cls) for cls in table.classes]
+
+
+def test_tables_do_not_fill_the_entry_memo():
+    before = _mn.cache_info().currsize
+    character_table_an(13, bound=13)
+    assert _mn.cache_info().currsize == before
 
 
 def test_table_bound_guard():
