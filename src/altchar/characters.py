@@ -3,9 +3,10 @@
 Symmetric-group character values come from the Murnaghan-Nakayama rule:
 strip every rim hook of length mu[0] off the shape and recurse on mu[1:].
 Both engines take their hooks from one rim-hook step on beta-sets,
-_rim_hooks.  _mn evaluates one entry, for single values, vectors and the
-global-class sums; _column gives every shape's value at one cycle type,
-through one transition table per (n, h), for the A_n character tables.
+_rim_hooks.  _mn evaluates one entry, for single values and vectors;
+_column gives every shape's value at one cycle type, through one
+transition table per (n, h), for the A_n character tables and the
+global-class sums.
 
 Restricting to the alternating group, the representation of a
 non-self-conjugate shape stays irreducible (and equals that of its
@@ -17,6 +18,7 @@ discriminant D per split class, which QuadValue stores exactly.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -30,8 +32,8 @@ from .partitions import (
     format_partition,
     parse_partition,
     partitions,
-    phi,
     sn_class_size,
+    _phi,
 )
 from .errors import InternalCheckError
 from .numtheory import _squarefree_split
@@ -335,14 +337,14 @@ def an_character(rep: AnIrrep, cls: AnClass) -> QuadValue:
     """
     if rep.n != cls.n:
         raise ValueError("size mismatch between irreducible and class")
-    return _an_value(rep, cls, _mn(rep.lam, cls.mu))
+    return _an_value(rep, cls, _mn, rep.lam, cls.mu)
 
 
-def _an_value(rep: AnIrrep, cls: AnClass, chi: int) -> QuadValue:
-    """The value of rep at cls, given chi, the S_n value of rep.lam at cls.mu."""
+def _an_value(rep: AnIrrep, cls: AnClass, chi: Callable[..., int], *key) -> QuadValue:
+    """The value of rep at cls, from chi(*key), its S_n value, on all but own-hook cells."""
     if rep.tag == TAG_NONE:
-        return QuadValue.whole(chi)
-    if cls.tag and phi(cls.mu) == rep.lam:
+        return QuadValue.whole(chi(*key))
+    if cls.tag and _phi(cls.mu) == rep.lam:
         data = cycle_type_data(cls.mu)
         eps = data.epsilon
         if eps is None:
@@ -350,7 +352,7 @@ def _an_value(rep: AnIrrep, cls: AnClass, chi: int) -> QuadValue:
         root, core = _squarefree_split(data.M)
         b = root if rep.tag == cls.tag else -root
         return QuadValue(eps, b, eps * core)
-    return QuadValue.half(chi)
+    return QuadValue.half(chi(*key))
 
 
 @dataclass(frozen=True)
@@ -387,7 +389,8 @@ def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
     columns of the type's suffixes by the MN rule.  Two unbounded memos
     back it, as _mn's does: _column holds one tuple per suffix type asked
     and _rim_table one tuple per (n, h) it met; the tables up to n = 18
-    leave 981 columns and 162 rim tables.  The tables never call _mn.
+    leave 981 columns and 162 rim tables.  The column memo is shared with
+    the global-class sums, and neither calls _mn.
     """
     if n > bound:
         raise ValueError(f"n={n} exceeds the table bound {bound}; raise it explicitly if intended")
@@ -396,8 +399,9 @@ def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
     if len(reps) != len(classes):
         raise InternalCheckError(f"A_{n} has {len(reps)} irreducibles but {len(classes)} classes")
     row_of = {lam: i for i, lam in enumerate(partitions(n))}
-    columns = [_column(c.mu) for c in classes]
+    cells = [_column(c.mu).__getitem__ for c in classes]
     values = tuple(
-        tuple(_an_value(r, c, col[row_of[r.lam]]) for c, col in zip(classes, columns)) for r in reps
+        tuple(_an_value(r, c, cell, i) for c, cell in zip(classes, cells))
+        for r, i in ((r, row_of[r.lam]) for r in reps)
     )
     return CharacterTable(n, reps, classes, values)

@@ -18,6 +18,9 @@ equally often, so character sums only need cycle types.  The distribution
 route therefore covers exactly the types whose centralizer contains an odd
 permutation, which includes every type that the explicit route's size
 guard rejects.
+
+Both routes read character values from whole S_n columns, through the
+column memo that the A_n tables share.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from .characters import (
     an_irreps,
     class_splits,
     in_alternating,
-    an_character,
-    _mn,
+    _an_value,
+    _column,
 )
 from .errors import InternalCheckError
 from .partitions import (
@@ -177,18 +180,21 @@ class _QuadAccumulator:
 
 def _inner_products_explicit(mu: Partition) -> dict[AnIrrep, int]:
     n = sum(mu)
-    elements = [g for g in centralizer_elements(mu) if perms.sign(g) == 1]
     by_key: Counter = Counter()
-    for g in elements:
+    for g in centralizer_elements(mu):
         t = perms.cycle_type(g)
-        by_key[t, split_class_of(g) if class_splits(t) else TAG_NONE] += 1
-    by_class = {AnClass(t, tag): count for (t, tag), count in by_key.items()}
+        if in_alternating(t):
+            by_key[t, split_class_of(g) if class_splits(t) else TAG_NONE] += 1
+    size = sum(by_key.values())
+    entries = [(AnClass(t, tag), _column(t).__getitem__, count) for (t, tag), count in by_key.items()]
+    row_of = {lam: i for i, lam in enumerate(partitions(n))}
     out = {}
     for rep in an_irreps(n):
+        i = row_of[rep.lam]
         acc = _QuadAccumulator()
-        for cls, count in by_class.items():
-            acc.add(an_character(rep, cls), count)
-        total = acc.rational_total() / len(elements)
+        for cls, cell, count in entries:
+            acc.add(_an_value(rep, cls, cell, i), count)
+        total = acc.rational_total() / size
         if total.denominator != 1 or total < 0:
             raise InternalCheckError(f"inner product not a non-negative integer: {total}")
         out[rep] = int(total)
@@ -260,11 +266,12 @@ def _inner_products_distribution(mu: Partition) -> dict[AnIrrep, int]:
     size = sum(even_part.values())
     if 2 * size != centralizer_order_sn(mu):
         raise InternalCheckError(f"even elements are not half the centralizer of {mu}")
+    columns = [(count, _column(t)) for t, count in even_part.items()]
+    row_of = {lam: i for i, lam in enumerate(partitions(n))}
     out = {}
     for rep in an_irreps(n):
-        total = 0
-        for t, count in even_part.items():
-            total += count * _mn(rep.lam, t)
+        i = row_of[rep.lam]
+        total = sum(count * col[i] for count, col in columns)
         if rep.tag != TAG_NONE:
             num, rem = divmod(total, 2)
             if rem != 0:

@@ -118,6 +118,12 @@ def phi(mu: Partition) -> Partition:
     mu = check_partition(mu)
     if not has_distinct_odd_parts(mu):
         raise InvalidPartitionError(f"parts must be distinct and odd: {mu}")
+    return _phi(mu)
+
+
+@cache
+def _phi(mu: Partition) -> Partition:
+    """phi on a trusted tuple with distinct odd parts, one memo entry per type."""
     # Row i < d is i cells left of the diagonal, the diagonal cell and its
     # arm (p_i - 1)/2.  The shape is self-conjugate, so column j < d is as
     # long as row j, and row r >= d counts the columns j < d longer than r.

@@ -24,6 +24,7 @@ from altchar.partitions import (
     conjugate,
     dimension,
     partitions,
+    phi,
     sn_class_size,
     sn_parity,
 )
@@ -196,6 +197,15 @@ def test_table_cells_equal_an_character(n):
 def test_tables_do_not_fill_the_entry_memo():
     before = _mn.cache_info().currsize
     character_table_an(13, bound=13)
+    assert _mn.cache_info().currsize == before
+
+
+def test_own_hook_cells_do_not_evaluate_the_entry():
+    """A split half on its own hook type takes its value from the class data alone."""
+    mu = (13, 7, 3)
+    before = _mn.cache_info().currsize
+    for tag in ("+", "-"):
+        assert not an_character(AnIrrep(phi(mu), "+"), AnClass(mu, tag)).is_rational()
     assert _mn.cache_info().currsize == before
 
 

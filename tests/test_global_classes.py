@@ -1,10 +1,21 @@
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
 from altchar import perms
-from altchar.characters import AnClass, AnIrrep, an_classes, mn_character
+from altchar.characters import (
+    AnClass,
+    AnIrrep,
+    _mn,
+    an_character,
+    an_classes,
+    an_irreps,
+    class_splits,
+    in_alternating,
+    mn_character,
+)
 from altchar.errors import InternalCheckError
 from altchar.global_classes import (
     _inner_products_distribution,
@@ -116,6 +127,69 @@ def test_inner_products_routes_agree():
     for mu in [(2, 2), (4, 2), (2, 2, 1, 1), (3, 3), (6, 2), (4, 4)]:
         explicit, _ = an_inner_products(mu)
         assert explicit == _inner_products_distribution(mu)
+
+
+def per_entry_inner_products(mu, method):
+    """Multiplicities in the induced trivial, summed entry by entry with an_character.
+
+    On the explicit route the centralizer is enumerated and each split
+    element tagged; on the distribution route each half of a split class
+    gets half its cycle type's count, as an odd centralizer element swaps
+    the halves.
+    """
+    weights = Counter()
+    if method == "explicit-centralizer":
+        for g in centralizer_elements(mu):
+            t = perms.cycle_type(g)
+            if in_alternating(t):
+                weights[AnClass(t, split_class_of(g) if class_splits(t) else "")] += 1
+    else:
+        for t, count in centralizer_type_distribution(mu).items():
+            if not in_alternating(t):
+                continue
+            if class_splits(t):
+                assert count % 2 == 0
+                weights[AnClass(t, "+")] += count // 2
+                weights[AnClass(t, "-")] += count // 2
+            else:
+                weights[AnClass(t)] += count
+    size = sum(weights.values())
+    out = {}
+    for rep in an_irreps(sum(mu)):
+        values = [(an_character(rep, cls), w) for cls, w in weights.items()]
+        radical = Counter()
+        for v, w in values:
+            radical[v.D] += w * v.b
+        assert not any(radical.values()), "radical parts did not cancel"
+        out[rep] = Fraction(sum(w * v.a for v, w in values), 2 * size)
+    return out
+
+
+def assert_inner_products_match_the_entries(mu):
+    inner, method = an_inner_products(mu)
+    assert inner == per_entry_inner_products(mu, method), mu
+    return method
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_inner_products_equal_per_entry_sums(n):
+    """Both column routes, on every even type, against per-entry character sums."""
+    methods = {
+        assert_inner_products_match_the_entries(mu) for mu in partitions(n) if in_alternating(mu)
+    }
+    assert "explicit-centralizer" in methods
+
+
+@pytest.mark.parametrize("mu", [(1,) * 11, (1,) * 12, (2, 2) + (1,) * 8, (3,) + (1,) * 9])
+def test_distribution_route_equals_per_entry_sums(mu):
+    assert assert_inner_products_match_the_entries(mu) == "type-distribution"
+
+
+def test_global_does_not_fill_the_entry_memo():
+    before = _mn.cache_info().currsize
+    assert global_brute_force((7, 5, 1), bound=13).method == "explicit-centralizer"
+    assert global_brute_force((2, 2) + (1,) * 9, bound=13).method == "type-distribution"
+    assert _mn.cache_info().currsize == before
 
 
 def test_inner_products_are_non_negative_and_hit_the_trivial():
