@@ -84,9 +84,15 @@ def _mn(lam: Partition, mu: Partition) -> int:
 
 
 @cache
+def _row_index(n: int) -> dict[Partition, int]:
+    """The row of each lam in a column of size n: its place in partitions(n)."""
+    return {lam: i for i, lam in enumerate(partitions(n))}
+
+
+@cache
 def _rim_table(n: int, h: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each lam in partitions(n): (sign, index in partitions(n - h)) per h-rim hook."""
-    index = {lam: i for i, lam in enumerate(partitions(n - h))}
+    index = _row_index(n - h)
     return tuple(
         tuple((sign, index[smaller]) for sign, smaller in _rim_hooks(lam, h)) for lam in partitions(n)
     )
@@ -386,11 +392,12 @@ def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
 
     Each class's cell values are read from one whole S_n column, the
     values of every shape at its cycle type, which _column builds from the
-    columns of the type's suffixes by the MN rule.  Two unbounded memos
-    back it, as _mn's does: _column holds one tuple per suffix type asked
-    and _rim_table one tuple per (n, h) it met; the tables up to n = 18
-    leave 981 columns and 162 rim tables.  The column memo is shared with
-    the global-class sums, and neither calls _mn.
+    columns of the type's suffixes by the MN rule.  Three unbounded memos
+    back it, as _mn's does: _column holds one tuple per suffix type asked,
+    _rim_table one tuple per (n, h) it met and _row_index one dict per
+    size; the tables up to n = 18 leave 981 columns and 162 rim tables.
+    The column and row memos are shared with the global-class sums, and
+    neither calls _mn.
     """
     if n > bound:
         raise ValueError(f"n={n} exceeds the table bound {bound}; raise it explicitly if intended")
@@ -398,10 +405,9 @@ def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
     classes = an_classes(n)
     if len(reps) != len(classes):
         raise InternalCheckError(f"A_{n} has {len(reps)} irreducibles but {len(classes)} classes")
-    row_of = {lam: i for i, lam in enumerate(partitions(n))}
     cells = [_column(c.mu).__getitem__ for c in classes]
     values = tuple(
         tuple(_an_value(r, c, cell, i) for c, cell in zip(classes, cells))
-        for r, i in ((r, row_of[r.lam]) for r in reps)
+        for r, i in ((r, _row_index(n)[r.lam]) for r in reps)
     )
     return CharacterTable(n, reps, classes, values)

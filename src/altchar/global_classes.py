@@ -6,20 +6,19 @@ irreducible.  By Frobenius reciprocity the multiplicity of an irreducible
 chi is (1/|Z|) * sum of chi over the centralizer Z, so the brute-force
 check is a character sum over Z.
 
-Two routes to that sum are implemented.  The explicit route builds the
-centralizer elements from its generators (one rotation per cycle, block
-swaps between equal-length cycles) and resolves split classes per element;
-it is exact on the radical level and is the reference. The distribution
-route never touches elements: the centralizer is a direct product of
-wreath products C_l wr S_k, whose cycle-type distribution has a classical
-combinatorial description, and whenever the centralizer is not contained
-in the alternating group the two halves of every split class are hit
-equally often, so character sums only need cycle types.  The distribution
-route therefore covers exactly the types whose centralizer contains an odd
-permutation, which includes every type that the explicit route's size
-guard rejects.
+The sum is taken once, by _inner_products, over a tally of the even
+centralizer elements by alternating class.  Two routes count the tally.
+The explicit route builds the centralizer elements from its generators
+(one rotation per cycle, block swaps between equal-length cycles) and
+tags each split element by conjugation; it is the reference.  The
+distribution route never touches elements: the centralizer is a direct
+product of wreath products C_l wr S_k, whose cycle-type distribution has
+a classical combinatorial description, and _distribution_tally says why
+each half of a split type gets half its count.  It covers exactly the
+types whose centralizer contains an odd permutation, which includes
+every type that the explicit route's size guard rejects.
 
-Both routes read character values from whole S_n columns, through the
+The sum reads character values from whole S_n columns, through the
 column memo that the A_n tables share.
 """
 
@@ -28,7 +27,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
@@ -44,6 +42,7 @@ from .characters import (
     in_alternating,
     _an_value,
     _column,
+    _row_index,
 )
 from .errors import InternalCheckError
 from .partitions import (
@@ -160,45 +159,14 @@ def split_class_of(sigma: perms.Perm) -> str:
     return TAG_PLUS if perms.sign(rho) == 1 else TAG_MINUS
 
 
-class _QuadAccumulator:
-    """Exact sum of QuadValues with mixed discriminants."""
-
-    def __init__(self) -> None:
-        self.halves = 0  # sum of the rational numerators a
-        self.radical: Counter = Counter()  # D -> sum of b
-
-    def add(self, value, times: int = 1) -> None:
-        self.halves += times * value.a
-        if value.b:
-            self.radical[value.D] += times * value.b
-
-    def rational_total(self) -> Fraction:
-        if any(self.radical.values()):
-            raise InternalCheckError(f"radical parts did not cancel: {dict(self.radical)}")
-        return Fraction(self.halves, 2)
-
-
-def _inner_products_explicit(mu: Partition) -> dict[AnIrrep, int]:
-    n = sum(mu)
-    by_key: Counter = Counter()
+def _explicit_tally(mu: Partition) -> Counter:
+    """Even centralizer elements per (cycle type, tag) key, tagged one by one."""
+    tally: Counter = Counter()
     for g in centralizer_elements(mu):
         t = perms.cycle_type(g)
         if in_alternating(t):
-            by_key[t, split_class_of(g) if class_splits(t) else TAG_NONE] += 1
-    size = sum(by_key.values())
-    entries = [(AnClass(t, tag), _column(t).__getitem__, count) for (t, tag), count in by_key.items()]
-    row_of = {lam: i for i, lam in enumerate(partitions(n))}
-    out = {}
-    for rep in an_irreps(n):
-        i = row_of[rep.lam]
-        acc = _QuadAccumulator()
-        for cls, cell, count in entries:
-            acc.add(_an_value(rep, cls, cell, i), count)
-        total = acc.rational_total() / size
-        if total.denominator != 1 or total < 0:
-            raise InternalCheckError(f"inner product not a non-negative integer: {total}")
-        out[rep] = int(total)
-    return out
+            tally[t, split_class_of(g) if class_splits(t) else TAG_NONE] += 1
+    return tally
 
 
 # ---------------------------------------------------------------------------
@@ -250,29 +218,54 @@ def centralizer_type_distribution(mu: Partition) -> dict[Partition, int]:
     return dict(dist)
 
 
-def _inner_products_distribution(mu: Partition) -> dict[AnIrrep, int]:
-    """Character sums from cycle types alone.
+def _distribution_tally(mu: Partition) -> Counter:
+    """Even centralizer elements per (cycle type, tag) key, from cycle types alone.
 
-    Valid only when the centralizer contains an odd permutation: then the
-    two halves of any split class receive equally many elements, and every
-    alternating character sums as half (or all) of the symmetric one.
+    Valid only when the centralizer contains an odd permutation: conjugating
+    by it swaps the two halves of any split class, so each half receives
+    half of its type's count.
     """
-    n = sum(mu)
     if class_splits(mu):
         raise InternalCheckError(f"distribution route needs an odd element in the centralizer of {mu}")
-    even_part = {
-        t: c for t, c in centralizer_type_distribution(mu).items() if in_alternating(t)
-    }
-    size = sum(even_part.values())
-    if 2 * size != centralizer_order_sn(mu):
+    tally: Counter = Counter()
+    for t, count in centralizer_type_distribution(mu).items():
+        if not in_alternating(t):
+            continue
+        if not class_splits(t):
+            tally[t, TAG_NONE] = count
+        elif count % 2:
+            raise InternalCheckError(f"odd count {count} on split type {t} in the centralizer of {mu}")
+        else:
+            tally[t, TAG_PLUS] = tally[t, TAG_MINUS] = count // 2
+    if 2 * sum(tally.values()) != centralizer_order_sn(mu):
         raise InternalCheckError(f"even elements are not half the centralizer of {mu}")
-    columns = [(count, _column(t)) for t, count in even_part.items()]
-    row_of = {lam: i for i, lam in enumerate(partitions(n))}
+    return tally
+
+
+def _inner_products(n: int, tally: Counter) -> dict[AnIrrep, int]:
+    """Multiplicity of each irreducible in the trivial induced from a tallied centralizer.
+
+    Each row sums count * S_n column value in integers.  A split half
+    differs from half that sum only on its own hook type's split classes,
+    so it reads the split-class cells through _an_value and corrects the
+    sum there; they are of one type, so the radical parts share one D.
+    """
+    size = sum(tally.values())
+    whole = [(count, _column(t)) for (t, _), count in tally.items()]
+    split = [(AnClass(t, tag), count, _column(t)) for (t, tag), count in tally.items() if tag]
+    row_of = _row_index(n)
     out = {}
     for rep in an_irreps(n):
         i = row_of[rep.lam]
-        total = sum(count * col[i] for count, col in columns)
+        total = sum(count * col[i] for count, col in whole)
         if rep.tag != TAG_NONE:
+            radical = 0
+            for cls, count, col in split:
+                v = _an_value(rep, cls, col.__getitem__, i)
+                total += count * (v.a - col[i])
+                radical += count * v.b
+            if radical != 0:
+                raise InternalCheckError(f"radical parts did not cancel for {rep.label()}: {radical}")
             num, rem = divmod(total, 2)
             if rem != 0:
                 raise InternalCheckError(f"odd character sum {total} for split {rep.label()}")
@@ -287,8 +280,8 @@ def _inner_products_distribution(mu: Partition) -> dict[AnIrrep, int]:
 def an_inner_products(mu: Partition) -> tuple[dict[AnIrrep, int], str]:
     """Multiplicities of each irreducible in the induced trivial, plus the route."""
     if class_splits(mu) or centralizer_order_sn(mu) <= _EXPLICIT_LIMIT:
-        return _inner_products_explicit(mu), "explicit-centralizer"
-    return _inner_products_distribution(mu), "type-distribution"
+        return _inner_products(sum(mu), _explicit_tally(mu)), "explicit-centralizer"
+    return _inner_products(sum(mu), _distribution_tally(mu)), "type-distribution"
 
 
 def global_brute_force(mu: Partition, bound: int = BRUTE_FORCE_BOUND) -> GlobalVerdict:

@@ -37,7 +37,7 @@ from functools import cache
 
 from .characters import TAG_NONE, AnClass, AnIrrep, _mn, mn_character
 from .errors import InternalCheckError
-from .numtheory import divisors, jacobi, p_adic_split, ramanujan
+from .numtheory import _squarefree_split, divisors, jacobi, p_adic_split, ramanujan
 from .partitions import (
     Partition,
     check_partition,
@@ -277,10 +277,9 @@ def bias_vector(mu: Partition) -> tuple[BiasResult, ...]:
     if data.epsilon is None:
         raise InternalCheckError(f"no sign epsilon for distinct odd type {mu}")
     odd = data.primes[: data.s]
-    odd_core = math.prod(pd.p for pd in odd)
-    root = math.isqrt(data.M // odd_core)
-    if root * root * odd_core != data.M:
-        raise InternalCheckError("part product over odd-exponent primes is not square")
+    root, odd_core = _squarefree_split(data.M)
+    if odd_core != math.prod(pd.p for pd in odd):
+        raise InternalCheckError(f"squarefree core {odd_core} of M is not the product of its odd-exponent primes")
     quarter_turns = (data.epsilon < 0) + sum(pd.p % 4 == 3 for pd in odd)
     if quarter_turns % 2:
         raise InternalCheckError(f"non-real bias constant for {mu}: eps is not M mod 4")

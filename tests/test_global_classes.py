@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -17,8 +18,12 @@ from altchar.characters import (
     mn_character,
 )
 from altchar.errors import InternalCheckError
+from altchar.numtheory import euler_phi
+from altchar import global_classes
 from altchar.global_classes import (
-    _inner_products_distribution,
+    _distribution_tally,
+    _explicit_tally,
+    _inner_products,
     an_inner_products,
     centralizer_elements,
     centralizer_type_distribution,
@@ -97,12 +102,12 @@ def test_a_repeated_n_builds_no_irreducible(monkeypatch):
 
 
 def test_the_explicit_route_builds_one_class_label_per_class(monkeypatch):
-    mu = (5, 5, 3, 3, 1, 1)
+    mu = (1,) * 8  # its tally holds the split types (7, 1) and (5, 3)
     limit = len(an_classes(sum(mu)))
     built = constructions(monkeypatch, AnClass)
     verdict = global_brute_force(mu, bound=sum(mu))
     assert verdict.method == "explicit-centralizer"
-    assert sum(perms.sign(g) == 1 for g in centralizer_elements(mu)) == 900
+    assert sum(perms.sign(g) == 1 for g in centralizer_elements(mu)) == 20160
     assert 0 < len(built) <= limit
 
 
@@ -116,7 +121,16 @@ def test_route_preconditions_are_internal_errors():
     with pytest.raises(InternalCheckError):
         centralizer_elements((1,) * 10)  # 10! elements, past the explicit limit
     with pytest.raises(InternalCheckError):
-        _inner_products_distribution((5, 3))  # split type: no odd centralizer element
+        _distribution_tally((5, 3))  # split type: no odd centralizer element
+
+
+def test_an_odd_count_on_a_split_type_is_an_internal_error(monkeypatch):
+    """Each half of a split type gets half its count, so the count must be even."""
+    # (2, 2) has 8 centralizer elements, and these 4 even ones are half of them.
+    fake = {(3, 1): 3, (1, 1, 1, 1): 1, (2, 1, 1): 4}
+    monkeypatch.setattr(global_classes, "centralizer_type_distribution", lambda mu: fake)
+    with pytest.raises(InternalCheckError, match="odd count 3 on split type"):
+        _distribution_tally((2, 2))
 
 
 # --- brute force ----------------------------------------------------------------
@@ -126,7 +140,36 @@ def test_inner_products_routes_agree():
     """The explicit enumeration and the type-distribution route must coincide."""
     for mu in [(2, 2), (4, 2), (2, 2, 1, 1), (3, 3), (6, 2), (4, 4)]:
         explicit, _ = an_inner_products(mu)
-        assert explicit == _inner_products_distribution(mu)
+        assert explicit == _inner_products(sum(mu), _distribution_tally(mu))
+    # The distribution tally rests on an odd centralizer element swapping
+    # the halves of every split class; the enumeration checks that directly.
+    checked = 0
+    for n in range(2, 13):
+        for mu in partitions(n):
+            if in_alternating(mu) and not class_splits(mu) and centralizer_order_sn(mu) <= 20_000:
+                assert _explicit_tally(mu) == _distribution_tally(mu), mu
+                checked += 1
+    assert checked == 116
+
+
+def test_explicit_tally_of_a_split_type_on_its_own_classes():
+    """N_+- = (prod phi(mu_i) +- prod S_i) / 2, S_i = phi(mu_i) on squares, else 0.
+
+    By the Frobenius-Zolotarev lemma the centralizer element with unit
+    rotations (r_i) lies in the class of standard_rep(mu) exactly when
+    prod (r_i | mu_i) = 1.
+    """
+    checked = 0
+    for n in range(2, 21):
+        for mu in partitions(n):
+            if not class_splits(mu):
+                continue
+            units = math.prod(euler_phi(p) for p in mu)
+            squares = math.prod(euler_phi(p) if math.isqrt(p) ** 2 == p else 0 for p in mu)
+            tally = _explicit_tally(mu)
+            assert (tally[mu, "+"], tally[mu, "-"]) == ((units + squares) // 2, (units - squares) // 2), mu
+            checked += 1
+    assert checked == 54
 
 
 def per_entry_inner_products(mu, method):
