@@ -9,7 +9,6 @@ from .partitions import (
     dimension,
     format_partition,
     has_distinct_odd_parts,
-    is_self_conjugate,
     parse_partition,
     phi,
 )
@@ -18,7 +17,6 @@ from .characters import (
     AnIrrep,
     CharacterTable,
     QuadValue,
-    an_character,
     an_classes,
     an_irreps,
     character_table_an,
@@ -31,7 +29,6 @@ from .multiplicity import (
     bias_oracle,
     bias_vector,
     power_conjugacy,
-    power_cycle_type,
     sn_multiplicity_oracle,
     sn_multiplicity_vector,
 )
@@ -47,7 +44,6 @@ from .global_classes import (
     GlobalVerdict,
     global_brute_force,
     is_global_class,
-    split_class_of,
 )
 from .acceptance import CriterionResult, run_criteria, run_criterion
 

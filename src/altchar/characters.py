@@ -3,10 +3,10 @@
 Symmetric-group character values come from the Murnaghan-Nakayama rule:
 strip every rim hook of length mu[0] off the shape and recurse on mu[1:].
 Both engines take their hooks from one rim-hook step on beta-sets,
-_rim_hooks.  _mn evaluates one entry, for single values and vectors;
-_column gives every shape's value at one cycle type, through one
-transition table per (n, h), for the A_n character tables and the
-global-class sums.
+_rim_hooks.  _mn evaluates one entry, for mn_character and the
+multiplicity vectors; _column gives every shape's value at one cycle
+type, through one transition table per (n, h), for the A_n character
+tables and the global-class sums.
 
 Restricting to the alternating group, the representation of a
 non-self-conjugate shape stays irreducible (and equals that of its
@@ -18,7 +18,6 @@ discriminant D per split class, which QuadValue stores exactly.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -333,23 +332,15 @@ class QuadValue:
         return f"({body})/2" if self.a else f"{body}/2"
 
 
-def an_character(rep: AnIrrep, cls: AnClass) -> QuadValue:
-    """Exact character value of an alternating-group irreducible.
+def _an_value(rep: AnIrrep, cls: AnClass, value: int) -> QuadValue:
+    """The value of rep at cls, given value, the S_n value of rep.lam at cls.mu.
 
-    On a whole irreducible the value is the symmetric-group value of the
-    stored shape.  A split half takes (eps +- sqrt(eps*M))/2 on the two
-    classes of its own hook type (plus sign when the tags agree), and half
-    the symmetric-group value everywhere else.
+    On a whole irreducible it is value itself.  A split half takes
+    (eps +- sqrt(eps*M))/2 on the two classes of its own hook type (plus
+    sign when the tags agree), and value/2 everywhere else.
     """
-    if rep.n != cls.n:
-        raise ValueError("size mismatch between irreducible and class")
-    return _an_value(rep, cls, _mn, rep.lam, cls.mu)
-
-
-def _an_value(rep: AnIrrep, cls: AnClass, chi: Callable[..., int], *key) -> QuadValue:
-    """The value of rep at cls, from chi(*key), its S_n value, on all but own-hook cells."""
     if rep.tag == TAG_NONE:
-        return QuadValue.whole(chi(*key))
+        return QuadValue.whole(value)
     if cls.tag and _phi(cls.mu) == rep.lam:
         data = cycle_type_data(cls.mu)
         eps = data.epsilon
@@ -358,7 +349,7 @@ def _an_value(rep: AnIrrep, cls: AnClass, chi: Callable[..., int], *key) -> Quad
         root, core = _squarefree_split(data.M)
         b = root if rep.tag == cls.tag else -root
         return QuadValue(eps, b, eps * core)
-    return QuadValue.half(chi(*key))
+    return QuadValue.half(value)
 
 
 @dataclass(frozen=True)
@@ -405,9 +396,9 @@ def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
     classes = an_classes(n)
     if len(reps) != len(classes):
         raise InternalCheckError(f"A_{n} has {len(reps)} irreducibles but {len(classes)} classes")
-    cells = [_column(c.mu).__getitem__ for c in classes]
+    columns = [_column(c.mu) for c in classes]
     values = tuple(
-        tuple(_an_value(r, c, cell, i) for c, cell in zip(classes, cells))
+        tuple(_an_value(r, c, col[i]) for c, col in zip(classes, columns))
         for r, i in ((r, _row_index(n)[r.lam]) for r in reps)
     )
     return CharacterTable(n, reps, classes, values)

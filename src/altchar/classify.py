@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import AnClass, AnIrrep
-from .partitions import Partition, check_partition, sn_parity
+from .characters import AnClass, AnIrrep, in_alternating
+from .partitions import Partition, check_partition
 
 
 def _hook_with_two(n: int) -> Partition:
@@ -45,7 +45,7 @@ def invariant_failure_sn(lam: Partition, mu: Partition) -> str | None:
     n = sum(lam)
     if n != sum(mu):
         raise ValueError("sizes differ")
-    if n >= 2 and lam == (1,) * n and sn_parity(mu) == -1:
+    if n >= 2 and lam == (1,) * n and not in_alternating(mu):
         return "sn:sign-at-odd-class"
     if n >= 2 and lam == (n - 1, 1) and mu == (n,):
         return "sn:standard-at-n-cycle"

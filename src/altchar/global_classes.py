@@ -10,13 +10,14 @@ The sum is taken once, by _inner_products, over a tally of the even
 centralizer elements by alternating class.  Two routes count the tally.
 The explicit route builds the centralizer elements from its generators
 (one rotation per cycle, block swaps between equal-length cycles) and
-tags each split element by conjugation; it is the reference.  The
-distribution route never touches elements: the centralizer is a direct
-product of wreath products C_l wr S_k, whose cycle-type distribution has
-a classical combinatorial description, and _distribution_tally says why
-each half of a split type gets half its count.  It covers exactly the
-types whose centralizer contains an odd permutation, which includes
-every type that the explicit route's size guard rejects.
+tags each split element by the parity of the word that lays its cycles
+end to end; it is the reference.  The distribution route never touches
+elements: the centralizer is a direct product of wreath products
+C_l wr S_k, whose cycle-type distribution has a classical combinatorial
+description, and _distribution_tally says why each half of a split type
+gets half its count.  It covers exactly the types whose centralizer
+contains an odd permutation, which includes every type that the
+explicit route's size guard rejects.
 
 The sum reads character values from whole S_n columns, through the
 column memo that the A_n tables share.
@@ -148,24 +149,26 @@ def centralizer_elements(mu: Partition) -> list[perms.Perm]:
     return out
 
 
-def split_class_of(sigma: perms.Perm) -> str:
-    """Tag of the split class containing sigma (cycle type must split)."""
-    t = perms.cycle_type(sigma)
-    if not class_splits(t):
-        raise ValueError(f"cycle type {format_partition(t)} does not split")
-    rho = perms.conjugator(perms.standard_rep(t), sigma)
-    if rho is None:
-        raise InternalCheckError(f"no conjugator into the class of {sigma}")
-    return TAG_PLUS if perms.sign(rho) == 1 else TAG_MINUS
-
-
 def _explicit_tally(mu: Partition) -> Counter:
-    """Even centralizer elements per (cycle type, tag) key, tagged one by one."""
+    """Even centralizer elements per (cycle type, tag) key, tagged one by one.
+
+    A split type has one cycle of each length, so laying an element's
+    cycles end to end by decreasing length gives the word of the
+    conjugator that carries standard_rep of its type onto it, cycle onto
+    cycle, each from its smallest point.  The element lies in the plus
+    class, the one of standard_rep, exactly when that word is even.
+    """
     tally: Counter = Counter()
     for g in centralizer_elements(mu):
-        t = perms.cycle_type(g)
-        if in_alternating(t):
-            tally[t, split_class_of(g) if class_splits(t) else TAG_NONE] += 1
+        cs = sorted(perms.cycles(g), key=len, reverse=True)
+        t = tuple(len(c) for c in cs)
+        if not in_alternating(t):
+            continue
+        if class_splits(t):
+            word = tuple(x for c in cs for x in c)
+            tally[t, TAG_PLUS if perms.sign(word) == 1 else TAG_MINUS] += 1
+        else:
+            tally[t, TAG_NONE] += 1
     return tally
 
 
@@ -261,7 +264,7 @@ def _inner_products(n: int, tally: Counter) -> dict[AnIrrep, int]:
         if rep.tag != TAG_NONE:
             radical = 0
             for cls, count, col in split:
-                v = _an_value(rep, cls, col.__getitem__, i)
+                v = _an_value(rep, cls, col[i])
                 total += count * (v.a - col[i])
                 radical += count * v.b
             if radical != 0:

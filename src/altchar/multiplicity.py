@@ -44,28 +44,24 @@ from .partitions import (
     cycle_type_data,
     format_partition,
     has_distinct_odd_parts,
-    phi,
+    _phi,
 )
 from . import perms
 
 
 def _power_type(mu: Partition, d: int) -> Partition:
+    """Cycle type of the d-th power, computed part by part.
+
+    A part splits into gcd(part, d) cycles of length part/gcd(part, d).
+
+    >>> _power_type((15, 9, 3), 3)
+    (5, 5, 5, 3, 3, 3, 1, 1, 1)
+    """
     parts: list[int] = []
     for p in mu:
         g = math.gcd(p, d)
         parts.extend([p // g] * g)
     return tuple(sorted(parts, reverse=True))
-
-
-def power_cycle_type(mu: Partition, d: int) -> Partition:
-    """Cycle type of the d-th power, computed part by part.
-
-    A part splits into gcd(part, d) cycles of length part/gcd(part, d).
-
-    >>> power_cycle_type((15, 9, 3), 3)
-    (5, 5, 5, 3, 3, 3, 1, 1, 1)
-    """
-    return _power_type(check_partition(mu), d)
 
 
 def order_of_type(mu: Partition) -> int:
@@ -229,10 +225,6 @@ class BiasResult:
     abs_formula: int
     conditions: tuple[PrimeCondition, ...]
 
-    @property
-    def nonzero(self) -> bool:
-        return all(c.ok for c in self.conditions)
-
     def json_dict(self) -> dict:
         return {
             "mu": format_partition(self.mu),
@@ -322,7 +314,10 @@ def bias_vector(mu: Partition) -> tuple[BiasResult, ...]:
     return tuple(out)
 
 
-def bias_oracle(mu: Partition, i: int, tol: float = 1e-6) -> int:
+_ORACLE_TOL = 1e-6  # how far the float sum may sit from an integer
+
+
+def bias_oracle(mu: Partition, i: int) -> int:
     """The defining Fourier sum of the bias, evaluated numerically.
 
     d_i = (sqrt(eps*M)/m) * sum over l mod m of (l|M) * zeta_m^(-i*l),
@@ -339,7 +334,7 @@ def bias_oracle(mu: Partition, i: int, tol: float = 1e-6) -> int:
         total += jacobi(l, data.M) * cmath.exp(-2j * math.pi * i * l / data.m)
     z = cmath.sqrt(complex(data.epsilon * data.M)) * total / data.m
     nearest = round(z.real)
-    if abs(z.imag) > tol or abs(z.real - nearest) > tol:
+    if abs(z.imag) > _ORACLE_TOL or abs(z.real - nearest) > _ORACLE_TOL:
         raise InternalCheckError(f"bias oracle did not land on an integer: {z}")
     return nearest
 
@@ -361,7 +356,7 @@ def an_multiplicity_vector(rep: AnIrrep, cls: AnClass) -> MultiplicityVector:
     entries = _sn_entries(rep.lam, cls.mu)
     if rep.tag != TAG_NONE:
         biases = [0] * len(entries)
-        if cls.tag and phi(cls.mu) == rep.lam:
+        if cls.tag and _phi(cls.mu) == rep.lam:
             sign = 1 if rep.tag == cls.tag else -1
             biases = [sign * b.value for b in bias_vector(cls.mu)]
         halves = []

@@ -96,11 +96,6 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
 
 
-def is_self_conjugate(lam: Partition) -> bool:
-    lam = check_partition(lam)
-    return lam == conjugate(lam)
-
-
 def has_distinct_odd_parts(mu: Partition) -> bool:
     mu = check_partition(mu)
     return all(p % 2 == 1 for p in mu) and len(set(mu)) == len(mu)
@@ -160,11 +155,6 @@ def centralizer_order_sn(mu: Partition) -> int:
 
 def sn_class_size(mu: Partition) -> int:
     return math.factorial(sum(mu)) // centralizer_order_sn(mu)
-
-
-def sn_parity(mu: Partition) -> int:
-    """Sign of any permutation with cycle type mu (+1 or -1)."""
-    return -1 if (sum(mu) - len(mu)) % 2 else 1
 
 
 @cache

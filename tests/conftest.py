@@ -10,7 +10,8 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 import altchar
-from altchar.partitions import has_distinct_odd_parts, is_self_conjugate, partitions
+from altchar.characters import _an_value, mn_character
+from altchar.partitions import conjugate, has_distinct_odd_parts, partitions
 
 
 def partition_pool(max_n: int, min_n: int = 1, pred=None) -> list:
@@ -23,7 +24,7 @@ def partition_pool(max_n: int, min_n: int = 1, pred=None) -> list:
 small_partitions = st.sampled_from(partition_pool(12))
 mid_partitions = st.sampled_from(partition_pool(18))
 distinct_odd_types = st.sampled_from(partition_pool(17, pred=has_distinct_odd_parts))
-self_conjugate_shapes = st.sampled_from(partition_pool(17, pred=is_self_conjugate))
+self_conjugate_shapes = st.sampled_from(partition_pool(17, pred=lambda lam: lam == conjugate(lam)))
 
 
 @st.composite
@@ -46,6 +47,17 @@ def inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     for x, y in enumerate(a):
         inv[y] = x
     return tuple(inv)
+
+
+def an_character(rep, cls):
+    """The A_n character value of rep at cls, one entry through _mn.
+
+    The per-entry oracle for the column engines: it feeds _an_value the
+    S_n value from the MN recursion instead of a column.
+    """
+    if rep.n != cls.n:
+        raise ValueError("size mismatch between irreducible and class")
+    return _an_value(rep, cls, mn_character(rep.lam, cls.mu))
 
 
 def multiplication_perm(i: int, modulus: int) -> tuple[int, ...]:

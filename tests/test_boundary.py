@@ -14,7 +14,6 @@ BAD = [(1, 3), (2, 0), (2.0,), (True,)]
 ENTRY_POINTS = {
     "check_partition": altchar.check_partition,
     "conjugate": altchar.conjugate,
-    "is_self_conjugate": altchar.is_self_conjugate,
     "has_distinct_odd_parts": altchar.has_distinct_odd_parts,
     "phi": altchar.phi,
     "dimension": altchar.dimension,
@@ -28,7 +27,6 @@ ENTRY_POINTS = {
     "bias_vector": altchar.bias_vector,
     "bias_oracle": lambda mu: altchar.bias_oracle(mu, 1),
     "power_conjugacy": lambda mu: altchar.power_conjugacy(mu, 1),
-    "power_cycle_type": lambda mu: altchar.power_cycle_type(mu, 2),
     "has_invariant_sn(lam)": lambda mu: altchar.has_invariant_sn(mu, (2,)),
     "has_invariant_sn(mu)": lambda mu: altchar.has_invariant_sn((2,), mu),
     "unisingular_sn": altchar.unisingular_sn,

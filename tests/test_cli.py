@@ -209,7 +209,7 @@ def test_selftest_checks_survive_optimized_mode():
 
 def test_irrational_inner_product_exits_1(monkeypatch):
     """A character sum whose radical parts fail to cancel is an internal fault."""
-    monkeypatch.setattr(global_classes, "_an_value", lambda rep, cls, chi, *key: QuadValue(1, 1, 5))
+    monkeypatch.setattr(global_classes, "_an_value", lambda rep, cls, value: QuadValue(1, 1, 5))
     code, out, err = run_cli("global", "--mu", "5,3", "--verify")  # tally holds (5,3):+ and (5,3):-
     assert code == 1
     assert out == ""

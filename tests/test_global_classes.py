@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 
 import pytest
@@ -10,7 +11,6 @@ from altchar.characters import (
     AnClass,
     AnIrrep,
     _mn,
-    an_character,
     an_classes,
     an_irreps,
     class_splits,
@@ -21,6 +21,7 @@ from altchar.errors import InternalCheckError
 from altchar.numtheory import euler_phi
 from altchar import global_classes
 from altchar.global_classes import (
+    _EXPLICIT_LIMIT,
     _distribution_tally,
     _explicit_tally,
     _inner_products,
@@ -30,10 +31,9 @@ from altchar.global_classes import (
     global_brute_force,
     is_global_class,
     qualifies,
-    split_class_of,
 )
 from altchar.partitions import centralizer_order_sn, partitions
-from conftest import inverse
+from conftest import an_character, inverse
 
 
 def test_qualifies():
@@ -70,6 +70,32 @@ def test_centralizer_enumeration(mu):
 def test_type_distribution_matches_enumeration(mu):
     counted = Counter(perms.cycle_type(g) for g in centralizer_elements(mu))
     assert centralizer_type_distribution(mu) == dict(counted)
+
+
+def split_class_of(sigma):
+    """Tag of the split class containing sigma, by the parity of a conjugator.
+
+    The oracle for _explicit_tally's tags: perms.conjugator builds some
+    rho with rho standard_rep(t) rho^-1 == sigma, and sigma lies in the
+    plus class, that of standard_rep(t), exactly when rho is even.
+    """
+    t = perms.cycle_type(sigma)
+    if not class_splits(t):
+        raise ValueError(f"cycle type {t} does not split")
+    rho = perms.conjugator(perms.standard_rep(t), sigma)
+    assert rho is not None
+    return "+" if perms.sign(rho) == 1 else "-"
+
+
+@cache
+def conjugator_tally(mu):
+    """Even centralizer elements per (cycle type, tag) key, tagged by split_class_of."""
+    tally = Counter()
+    for g in centralizer_elements(mu):
+        t = perms.cycle_type(g)
+        if in_alternating(t):
+            tally[t, split_class_of(g) if class_splits(t) else ""] += 1
+    return tally
 
 
 def test_split_class_of():
@@ -114,6 +140,29 @@ def test_the_explicit_route_builds_one_class_label_per_class(monkeypatch):
 def test_split_class_of_rejects_non_split_types():
     with pytest.raises(ValueError):
         split_class_of(perms.standard_rep((3, 3)))
+
+
+def explicit_types(n):
+    """The even cycle types on n points that the explicit route takes."""
+    return [mu for mu in partitions(n) if in_alternating(mu) and centralizer_order_sn(mu) <= _EXPLICIT_LIMIT]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_explicit_tally_equals_the_conjugator_tags(n):
+    """Every even type on n points that the explicit route takes, against conjugator_tally.
+
+    (9,) and (9, 1) put all six unit rotations of the 9-cycle in the plus
+    class, so a flipped tag or a reversed cycle order shows there.
+    """
+    for mu in explicit_types(n):
+        assert _explicit_tally(mu) == conjugator_tally(mu), mu
+
+
+def test_conjugator_tag_check_leaves_out_only_the_identities():
+    """Of the even types with n <= 10, only (1^9) and (1^10) are past _EXPLICIT_LIMIT."""
+    left_out = [mu for n in range(1, 11) for mu in partitions(n) if in_alternating(mu) and mu not in explicit_types(n)]
+    assert left_out == [(1,) * 9, (1,) * 10]
+    assert sum(len(explicit_types(n)) for n in range(1, 11)) == 73
 
 
 def test_route_preconditions_are_internal_errors():
@@ -182,10 +231,8 @@ def per_entry_inner_products(mu, method):
     """
     weights = Counter()
     if method == "explicit-centralizer":
-        for g in centralizer_elements(mu):
-            t = perms.cycle_type(g)
-            if in_alternating(t):
-                weights[AnClass(t, split_class_of(g) if class_splits(t) else "")] += 1
+        for (t, tag), count in conjugator_tally(mu).items():
+            weights[AnClass(t, tag)] += count
     else:
         for t, count in centralizer_type_distribution(mu).items():
             if not in_alternating(t):

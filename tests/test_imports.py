@@ -63,26 +63,33 @@ def _public_definitions(tree: ast.Module) -> list[tuple[str, str]]:
     return out
 
 
-def _references(tree: ast.Module) -> set[str]:
-    """Every name and attribute name that the module's code reads."""
-    out = set()
+def _references(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """The bare names and the attribute names that the module's code reads."""
+    names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-    return out
+            attrs.add(node.attr)
+    return names, attrs
 
 
 def _uncalled(modules: dict[str, str], init_source: str, scripts: list[str]) -> list[str]:
     exported = set(_imported_names(ast.parse(init_source)))
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    used = set().union(*map(_references, trees.values()), *(_references(ast.parse(s)) for s in scripts))
+    refs = [_references(t) for t in [*trees.values(), *map(ast.parse, scripts)]]
+    names = set().union(*(n for n, _ in refs))
+    attrs = set().union(*(a for _, a in refs))
+
+    def read(qualified: str, name: str) -> bool:
+        is_method = "." in qualified
+        return name in exported or name in attrs or (not is_method and name in names)
+
     return [
         f"{module}.{qualified}"
         for module, tree in trees.items()
         for qualified, name in _public_definitions(tree)
-        if name not in exported and name not in used
+        if not read(qualified, name)
     ]
 
 
@@ -90,10 +97,13 @@ def test_public_api_has_a_caller():
     """A public function or method that altchar does not export is read somewhere
     in src/altchar or scripts/, or it goes.
 
-    The scan matches bare names, so a method whose name is a common attribute
-    slips past it: CharacterTable.value, say, would count as used because
-    bias entries have a .value field.  A call inside the defining module
-    counts, as for a helper that only its own module's engine calls.
+    A function counts as called when its name is read, bare or as an
+    attribute; a method only when it is read as an attribute, so a local
+    variable of the same name does not hide it.  The scan does not know
+    which class an attribute belongs to: CharacterTable.value, say, would
+    count as used because bias entries have a .value field.  A call inside
+    the defining module counts, as for a helper that only its own module's
+    engine calls.
     """
     modules = {p.stem: p.read_text() for p in MODULES}
     scripts = [p.read_text() for p in SCRIPTS]
@@ -105,6 +115,6 @@ def test_the_scan_flags_an_uncalled_method_and_function():
     modules = {
         "shapes": "class Box:\n    def area(self):\n        return 1\n\n    def spare(self):\n        pass\n\n"
         "def helper():\n    return Box().area()\n\ndef orphan():\n    pass\n",
-        "engine": "from .shapes import helper\n\ndef run():\n    return helper()\n",
+        "engine": "from .shapes import helper\n\ndef run():\n    spare = helper()\n    return spare\n",
     }
     assert _uncalled(modules, "from .engine import run\n", []) == ["shapes.Box.spare", "shapes.orphan"]

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from altchar import perms
-from altchar.characters import AnClass, AnIrrep, an_character, an_classes, an_irreps, irrep_splits
+from altchar.characters import AnClass, AnIrrep, an_classes, an_irreps, irrep_splits
 from altchar.multiplicity import (
+    _power_type,
     an_multiplicity_vector,
     bias_oracle,
     bias_vector,
     cyclotomic_polynomial,
     order_of_type,
     power_conjugacy,
-    power_cycle_type,
     sn_multiplicity_oracle,
     sn_multiplicity_vector,
 )
@@ -27,13 +27,13 @@ from altchar.partitions import (
     partitions,
     phi,
 )
-from conftest import distinct_odd_types, mid_partitions, shape_type_pairs
+from conftest import an_character, distinct_odd_types, mid_partitions, shape_type_pairs
 
 
 @given(mid_partitions, st.integers(min_value=0, max_value=40))
 def test_power_cycle_type_matches_permutations(mu, d):
     w = perms.standard_rep(mu)
-    assert power_cycle_type(mu, d) == perms.cycle_type(perms.perm_power(w, d))
+    assert _power_type(mu, d) == perms.cycle_type(perms.perm_power(w, d))
 
 
 def test_order_of_type():
@@ -136,7 +136,7 @@ def test_bias_equals_the_defining_sum(n):
             assert r.i == i
             assert r.value == bias_oracle(mu, i)
             assert abs(r.value) == r.abs_formula
-            assert r.nonzero == (r.value != 0)
+            assert all(c.ok for c in r.conditions) == (r.value != 0)
 
 
 @given(distinct_odd_types, st.integers(min_value=0, max_value=200))

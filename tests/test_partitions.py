@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from altchar.characters import in_alternating
 from altchar.partitions import (
     CycleTypeData,
     InvalidPartitionError,
@@ -14,12 +15,10 @@ from altchar.partitions import (
     factorize,
     format_partition,
     has_distinct_odd_parts,
-    is_self_conjugate,
     parse_partition,
     partitions,
     phi,
     sn_class_size,
-    sn_parity,
 )
 from conftest import distinct_odd_types, mid_partitions, self_conjugate_shapes
 
@@ -117,7 +116,7 @@ def diagonal_hooks(lam):
 def test_phi_lands_on_self_conjugate_shapes(mu):
     """phi pairs distinct-odd types with self-conjugate shapes, hooks inverting it."""
     lam = phi(mu)
-    assert is_self_conjugate(lam)
+    assert lam == conjugate(lam)
     assert sum(lam) == sum(mu)
     assert diagonal_hooks(lam) == mu
 
@@ -125,7 +124,7 @@ def test_phi_lands_on_self_conjugate_shapes(mu):
 def test_phi_counts_agree():
     for n in range(1, 20):
         odd = [mu for mu in partitions(n) if has_distinct_odd_parts(mu)]
-        sc = [lam for lam in partitions(n) if is_self_conjugate(lam)]
+        sc = [lam for lam in partitions(n) if lam == conjugate(lam)]
         assert len(odd) == len(sc)
         assert sorted(phi(mu) for mu in odd) == sorted(sc)
 
@@ -156,7 +155,7 @@ def test_centralizer_order_examples():
 
 @given(mid_partitions)
 def test_parity_counts_even_parts(mu):
-    assert sn_parity(mu) == (-1) ** sum(1 for p in mu if p % 2 == 0)
+    assert in_alternating(mu) == ((sum(mu) - len(mu)) % 2 == 0)
 
 
 @given(st.integers(min_value=2, max_value=10_000))

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from altchar import perms
-from altchar.partitions import partitions, sn_parity
+from altchar.characters import in_alternating
+from altchar.partitions import partitions
 from conftest import inverse, multiplication_perm, small_perms, small_partitions
 
 
@@ -41,7 +42,7 @@ def test_sign_is_multiplicative(a, data):
 
 @given(small_partitions)
 def test_sign_matches_type_parity(mu):
-    assert perms.sign(perms.standard_rep(mu)) == sn_parity(mu)
+    assert perms.sign(perms.standard_rep(mu)) == (1 if in_alternating(mu) else -1)
 
 
 @given(small_perms(), st.integers(min_value=0, max_value=20))
