@@ -16,7 +16,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from altchar.multiplicity import bias_oracle, bias_vector, order_of_type
+from altchar.acceptance import bias_oracle
+from altchar.multiplicity import bias_vector, order_of_type
 from altchar.partitions import format_partition, has_distinct_odd_parts, partitions
 
 

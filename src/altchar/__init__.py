@@ -26,10 +26,8 @@ from .multiplicity import (
     BiasResult,
     MultiplicityVector,
     an_multiplicity_vector,
-    bias_oracle,
     bias_vector,
     power_conjugacy,
-    sn_multiplicity_oracle,
     sn_multiplicity_vector,
 )
 from .classify import (
@@ -45,7 +43,7 @@ from .global_classes import (
     global_brute_force,
     is_global_class,
 )
-from .acceptance import CriterionResult, run_criteria, run_criterion
+from .acceptance import CriterionResult, bias_oracle, run_criteria, run_criterion, sn_multiplicity_oracle
 
 __version__ = "0.1.0"
 

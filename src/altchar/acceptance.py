@@ -4,6 +4,11 @@ Each criterion recomputes a closed form against an independent route
 (oracle, exhaustive engine sweep, or brute-force character sums) over a
 stated range, and carries a generous wall-clock budget.  The CLI selftest
 subcommand and the test suite both run these.
+
+The checklist's reference oracles live here, apart from the engines:
+sn_multiplicity_oracle, through permutation powers and a reduction modulo
+a cyclotomic polynomial, and bias_oracle, the split bias's defining sum
+evaluated numerically, which is the one floating-point check in the package.
 """
 
 from __future__ import annotations
@@ -12,12 +17,14 @@ import cmath
 import math
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from .characters import (
     TAG_MINUS,
     TAG_PLUS,
     TABLE_BOUND,
     AnIrrep,
+    CharacterTable,
     an_classes,
     an_irreps,
     character_table_an,
@@ -28,15 +35,17 @@ from .classify import has_invariant_an, n_cycle_gap_set
 from .global_classes import global_brute_force, is_global_class, qualifies
 from .multiplicity import (
     an_multiplicity_vector,
-    bias_oracle,
     bias_vector,
     order_of_type,
     power_conjugacy,
-    sn_multiplicity_oracle,
     sn_multiplicity_vector,
 )
 from .errors import InternalCheckError
+from .numtheory import divisors, jacobi
 from .partitions import (
+    Partition,
+    check_partition,
+    cycle_type_data,
     dimension,
     factorize,
     has_distinct_odd_parts,
@@ -59,6 +68,96 @@ class CriterionResult:
         status = "PASS" if self.ok else "FAIL"
         suffix = f"  [{self.seconds:.2f}s / {self.limit:.0f}s]" if timing else ""
         return f"[{status}] criterion {self.number}: {self.name} -- {self.detail}{suffix}"
+
+
+# ---------------------------------------------------------------------------
+# reference oracles
+
+
+def _divmod_monic(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder, trailing zeros dropped, of integer polynomials by a monic den."""
+    deg = len(den) - 1
+    rem = list(num)
+    quotient = [0] * max(len(rem) - deg, 0)
+    for k in range(len(rem) - 1, deg - 1, -1):
+        c = quotient[k - deg] = rem[k]
+        for j, dj in enumerate(den):
+            rem[k - deg + j] -= c * dj
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quotient, rem
+
+
+@cache
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
+    """Coefficients of the m-th cyclotomic polynomial, ascending degree.
+
+    >>> cyclotomic_polynomial(9)
+    (1, 0, 0, 1, 0, 0, 1)
+    """
+    if m < 1:
+        raise ValueError("m must be positive")
+    coeffs = [-1] + [0] * (m - 1) + [1]  # x**m - 1
+    for d in divisors(m)[:-1]:
+        coeffs, rem = _divmod_monic(coeffs, cyclotomic_polynomial(d))
+        if rem:
+            raise InternalCheckError(f"cyclotomic polynomial {d} does not divide x**{m} - 1")
+    return tuple(coeffs)
+
+
+def _cyclotomic_remainder(coeffs: list[int], m: int) -> list[int]:
+    """sum of coeffs[k] * x**k modulo the minimal polynomial of zeta_m: empty iff it is 0 at zeta_m.
+
+    >>> _cyclotomic_remainder([0, 1, 1, 1], 3)  # zeta + zeta**2 + 1 == 0
+    []
+    """
+    return _divmod_monic(coeffs, cyclotomic_polynomial(m))[1]
+
+
+def sn_multiplicity_oracle(lam: Partition, mu: Partition, i: int) -> int:
+    """One multiplicity through permutation powers and cyclotomic reduction.
+
+    Forms sum_j chi(w^j) x^(-i*j mod m) and reduces modulo the m-th
+    cyclotomic polynomial; the remainder must be the constant m * a_i.
+    """
+    lam = check_partition(lam)
+    mu = check_partition(mu)
+    m = order_of_type(mu)
+    w = perms.standard_rep(mu)
+    coeffs = [0] * m
+    current = perms.identity(sum(mu))
+    for j in range(m):
+        coeffs[(-i * j) % m] += mn_character(lam, perms.cycle_type(current))
+        current = perms.compose(w, current)
+    rem = _cyclotomic_remainder(coeffs, m) or [0]
+    if len(rem) > 1 or rem[0] % m:
+        raise InternalCheckError(f"cyclotomic remainder {rem} is not a multiple of {m} for {lam} at {mu}, i={i}")
+    return rem[0] // m
+
+
+_ORACLE_TOL = 1e-6  # how far the float sum may sit from an integer
+
+
+def bias_oracle(mu: Partition, i: int) -> int:
+    """The defining Fourier sum of the bias, evaluated numerically.
+
+    d_i = (sqrt(eps*M)/m) * sum over l mod m of (l|M) * zeta_m^(-i*l),
+    with the principal branch sqrt(-x) = i*sqrt(x).
+    """
+    mu = check_partition(mu)
+    if not has_distinct_odd_parts(mu):
+        raise ValueError("bias oracle needs distinct odd parts")
+    data = cycle_type_data(mu)
+    if data.epsilon is None:
+        raise InternalCheckError(f"no sign epsilon for distinct odd type {mu}")
+    total = 0j
+    for l in range(data.m):
+        total += jacobi(l, data.M) * cmath.exp(-2j * math.pi * i * l / data.m)
+    z = cmath.sqrt(complex(data.epsilon * data.M)) * total / data.m
+    nearest = round(z.real)
+    if abs(z.imag) > _ORACLE_TOL or abs(z.real - nearest) > _ORACLE_TOL:
+        raise InternalCheckError(f"bias oracle did not land on an integer: {z}")
+    return nearest
 
 
 def _criterion_1() -> tuple[bool, str]:
@@ -111,10 +210,7 @@ def _criterion_3() -> tuple[bool, str]:
                         return False, f"oracle mismatch at lam={lam}, mu={mu}, i={i}"
                 if sum(entries) != dimension(lam):
                     return False, f"entries do not sum to the dimension at lam={lam}, mu={mu}"
-                rebuilt = sum(
-                    a * cmath.exp(2j * math.pi * i / m) for i, a in enumerate(entries)
-                )
-                if abs(rebuilt - mn_character(lam, mu)) > 1e-8:
+                if _cyclotomic_remainder([entries[0] - mn_character(lam, mu), *entries[1:]], m):
                     return False, f"character reconstruction off at lam={lam}, mu={mu}"
                 checked += m
     return True, f"{checked} multiplicities cross-checked, n <= 9"
@@ -194,34 +290,54 @@ def _criterion_7() -> tuple[bool, str]:
     return True, f"{checked} qualifying types, weights <= 16; named cases confirmed"
 
 
+def _inner_product(weights, xs, ys) -> tuple[int, dict[int, int]]:
+    """4 * sum of w * x * conj(y) over QuadValue cells: its rational part, and its sqrt(D) part per D.
+
+    conj(sqrt(D)) is -sqrt(D) for D < 0, so sqrt(D) * conj(sqrt(D)) = |D|;
+    two irrational cells in one term must share their D.
+    """
+    rational = 0
+    radical: dict[int, int] = {}
+    for w, x, y in zip(weights, xs, ys):
+        rational += w * x.a * y.a
+        if x.b:
+            radical[x.D] = radical.get(x.D, 0) + w * x.b * y.a
+        if y.b:
+            radical[y.D] = radical.get(y.D, 0) + w * x.a * (y.b if y.D > 0 else -y.b)
+            if x.b:
+                if x.D != y.D:
+                    raise InternalCheckError(f"cells with sqrt({x.D}) and sqrt({y.D}) meet in one term")
+                rational += w * x.b * y.b * abs(x.D)
+    return rational, radical
+
+
+def _orthogonality_failure(table: CharacterTable) -> str | None:
+    """Where the rows or columns of table fail to be orthonormal, or None.
+
+    Square roots of distinct squarefree integers are independent over Q, so
+    every sqrt(D) part must vanish; the rational part is 4 * |A_n| * delta.
+    """
+    order = table.group_order()
+    sizes = [c.size() for c in table.classes]
+    for kind, lines in (("row", table.values), ("column", tuple(zip(*table.values)))):
+        for a, x in enumerate(lines):
+            weights = sizes if kind == "row" else [sizes[a]] * len(sizes)
+            for b in range(a, len(lines)):
+                rational, radical = _inner_product(weights, x, lines[b])
+                if any(radical.values()) or rational != 4 * order * (a == b):
+                    return f"{kind} orthogonality fails at n={table.n} ({a},{b})"
+    return None
+
+
 def _criterion_8() -> tuple[bool, str]:
-    """Character tables through n=TABLE_BOUND: orthogonality and the dimension sum."""
+    """Character tables through n=TABLE_BOUND: exact orthogonality and the dimension sum."""
     for n in range(2, TABLE_BOUND + 1):
         table = character_table_an(n)
-        order = table.group_order()
-        if sum(r.dim() ** 2 for r in table.irreps) != order:
+        if sum(r.dim() ** 2 for r in table.irreps) != table.group_order():
             return False, f"dimension sum wrong at n={n}"
-        rows = [[complex(v) for v in row] for row in table.values]
-        sizes = [c.size() for c in table.classes]
-        k = len(table.irreps)
-        for a in range(k):
-            for b in range(a, k):
-                inner = (
-                    sum(s * x * y.conjugate() for s, x, y in zip(sizes, rows[a], rows[b]))
-                    / order
-                )
-                if abs(inner - (1 if a == b else 0)) > 1e-8:
-                    return False, f"row orthogonality fails at n={n} ({a},{b})"
-        for a in range(k):
-            for b in range(a, k):
-                inner = (
-                    sum(rows[r][a] * rows[r][b].conjugate() for r in range(k))
-                    * sizes[a]
-                    / order
-                )
-                if abs(inner - (1 if a == b else 0)) > 1e-8:
-                    return False, f"column orthogonality fails at n={n} ({a},{b})"
-    return True, f"orthogonality within 1e-8 and dim sums exact, n <= {TABLE_BOUND}"
+        if failure := _orthogonality_failure(table):
+            return False, failure
+    return True, f"orthogonality and dim sums exact, n <= {TABLE_BOUND}"
 
 
 def _criterion_9() -> tuple[bool, str]:

@@ -315,10 +315,6 @@ class QuadValue:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def __complex__(self) -> complex:
-        root = math.sqrt(abs(self.D)) * (1j if self.D < 0 else 1)
-        return complex(self.a + self.b * root) / 2
-
     def json_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "D": self.D}
 

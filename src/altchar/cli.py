@@ -286,11 +286,9 @@ def _cmd_global(args) -> Output:
             + (f", least-hit irrep {brute.witness[0]} with multiplicity {brute.witness[1]}" if brute.witness else "")
             + f"  [{brute.method}]"
         )
-    def _fmt(v):
-        return "" if v is None else v
     rows = [[
         format_partition(mu),
-        _fmt(closed.is_global),
+        closed.is_global,
         closed.rule,
         "" if brute is None else brute.is_global,
         "" if brute is None or brute.witness is None else brute.witness[0],

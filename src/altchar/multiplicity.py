@@ -11,8 +11,7 @@ divisors d of m weighted by Ramanujan sums c_{m/d}(i); and since the
 characters of S_n are rational, a_i depends on i only through
 g = gcd(i, m).  sn_multiplicity_vector therefore evaluates chi once at
 each of the tau(m) power types w^d, solves a_g once for each divisor g
-of m, and broadcasts a_i = a_{gcd(i, m)}.  A slower independent oracle
-reduces the same data modulo a cyclotomic polynomial instead.
+of m, and broadcasts a_i = a_{gcd(i, m)}.
 
 For a split class (distinct odd parts) the plus and minus halves of the
 self-conjugate shape of matching hook type differ by a bias d_i, which has
@@ -20,8 +19,8 @@ a closed form in terms of Gauss sums: a global constant times one local
 factor per prime power p**f exactly dividing m, each depending only on
 i mod p**f.  The irrational parts of the Gauss sums cancel against the
 constant, so bias_vector evaluates the form in plain integers, from one
-table per prime over the residues mod p**f; bias_oracle recomputes the
-defining sum in floating point.  an_multiplicity_vector combines the two.
+table per prime over the residues mod p**f.  an_multiplicity_vector
+combines the two.
 
 Each question has one production function, and it answers for every
 index at once: a single entry is read from the vector, as in
@@ -30,12 +29,10 @@ sn_multiplicity_vector(lam, mu).entries[i % m] or bias_vector(mu)[i % m].
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from functools import cache
 
-from .characters import TAG_NONE, AnClass, AnIrrep, _mn, mn_character
+from .characters import TAG_NONE, AnClass, AnIrrep, _mn
 from .errors import InternalCheckError
 from .numtheory import _squarefree_split, divisors, jacobi, p_adic_split, ramanujan
 from .partitions import (
@@ -46,7 +43,6 @@ from .partitions import (
     has_distinct_odd_parts,
     _phi,
 )
-from . import perms
 
 
 def _power_type(mu: Partition, d: int) -> Partition:
@@ -67,14 +63,6 @@ def _power_type(mu: Partition, d: int) -> Partition:
 def order_of_type(mu: Partition) -> int:
     """Order of a permutation of cycle type mu: the lcm of its parts."""
     return math.lcm(*mu) if mu else 1
-
-
-def _check_pair(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError("sizes differ")
-    return lam, mu
 
 
 @dataclass(frozen=True)
@@ -116,84 +104,11 @@ def sn_multiplicity_vector(lam: Partition, mu: Partition) -> MultiplicityVector:
     chi is evaluated at the tau(m) power types, a_g is solved once per
     divisor g of m, and entry i is a_{gcd(i, m)}.
     """
-    lam, mu = _check_pair(lam, mu)
+    lam, mu = check_partition(lam), check_partition(mu)
+    if sum(lam) != sum(mu):
+        raise ValueError("sizes differ")
     entries = _sn_entries(lam, mu)
     return MultiplicityVector((format_partition(lam), format_partition(mu)), len(entries), entries)
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: reduce modulo a cyclotomic polynomial
-
-
-def _poly_trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    """Exact quotient of integer polynomials (ascending coefficients)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c, r = divmod(num[k + len(den) - 1], den[-1])
-        if r != 0:
-            raise InternalCheckError("leading coefficient does not divide exactly")
-        out[k] = c
-        for j, dj in enumerate(den):
-            num[k + j] -= c * dj
-    if any(num):
-        raise InternalCheckError("polynomial division left a remainder")
-    return out
-
-
-@cache
-def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, ascending degree.
-
-    >>> cyclotomic_polynomial(9)
-    (1, 0, 0, 1, 0, 0, 1)
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    coeffs = [-1] + [0] * (m - 1) + [1]  # x**m - 1
-    for d in divisors(m):
-        if d < m:
-            coeffs = _poly_divexact(coeffs, list(cyclotomic_polynomial(d)))
-    return tuple(coeffs)
-
-
-def sn_multiplicity_oracle(lam: Partition, mu: Partition, i: int) -> int:
-    """Same multiplicity through permutation powers and cyclotomic reduction.
-
-    Forms sum_j chi(w^j) x^(-i*j mod m) and reduces modulo the m-th
-    cyclotomic polynomial; the remainder must be the constant m * a_i.
-    """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    m = order_of_type(mu)
-    w = perms.standard_rep(mu)
-    coeffs = [0] * m
-    current = perms.identity(sum(mu))
-    for j in range(m):
-        coeffs[(-i * j) % m] += mn_character(lam, perms.cycle_type(current))
-        current = perms.compose(w, current)
-    modulus = list(cyclotomic_polynomial(m))
-    deg = len(modulus) - 1
-    rem = list(coeffs)
-    for k in range(len(rem) - 1, deg - 1, -1):
-        c = rem[k]
-        if c:
-            for j, mj in enumerate(modulus):
-                rem[k - deg + j] -= c * mj
-    rem = _poly_trim(rem)
-    if len(rem) > 1:
-        raise InternalCheckError(f"non-constant cyclotomic remainder for {lam} at {mu}, i={i}")
-    value = rem[0] if rem else 0
-    q, r = divmod(value, m)
-    if r != 0:
-        raise InternalCheckError("remainder not divisible by the order")
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -312,31 +227,6 @@ def bias_vector(mu: Partition) -> tuple[BiasResult, ...]:
             raise InternalCheckError(f"magnitude closed form disagrees at {mu}, i={i}")
         out.append(BiasResult(mu, i, value, magnitude, conditions))
     return tuple(out)
-
-
-_ORACLE_TOL = 1e-6  # how far the float sum may sit from an integer
-
-
-def bias_oracle(mu: Partition, i: int) -> int:
-    """The defining Fourier sum of the bias, evaluated numerically.
-
-    d_i = (sqrt(eps*M)/m) * sum over l mod m of (l|M) * zeta_m^(-i*l),
-    with the principal branch sqrt(-x) = i*sqrt(x).
-    """
-    mu = check_partition(mu)
-    if not has_distinct_odd_parts(mu):
-        raise ValueError("bias oracle needs distinct odd parts")
-    data = cycle_type_data(mu)
-    if data.epsilon is None:
-        raise InternalCheckError(f"no sign epsilon for distinct odd type {mu}")
-    total = 0j
-    for l in range(data.m):
-        total += jacobi(l, data.M) * cmath.exp(-2j * math.pi * i * l / data.m)
-    z = cmath.sqrt(complex(data.epsilon * data.M)) * total / data.m
-    nearest = round(z.real)
-    if abs(z.imag) > _ORACLE_TOL or abs(z.real - nearest) > _ORACLE_TOL:
-        raise InternalCheckError(f"bias oracle did not land on an integer: {z}")
-    return nearest
 
 
 # ---------------------------------------------------------------------------

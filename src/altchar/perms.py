@@ -5,7 +5,7 @@ format composes with plain indexing, so the helpers below stay tuple-in,
 tuple-out and need no classes.
 
 Three production paths use explicit permutations: the explicit centralizer
-route of global_classes (cycles and sign), multiplicity.sn_multiplicity_oracle,
+route of global_classes (cycles and sign), acceptance.sn_multiplicity_oracle,
 and acceptance criterion 6 (power conjugacy by conjugator parity), the one
 production caller of conjugator.
 """

@@ -1,6 +1,7 @@
 """Shared hypothesis strategies drawn from the exact partition enumerator,
 and test-only helpers that more than one test module uses."""
 
+import cmath
 import math
 import os
 import subprocess
@@ -58,6 +59,16 @@ def an_character(rep, cls):
     if rep.n != cls.n:
         raise ValueError("size mismatch between irreducible and class")
     return _an_value(rep, cls, mn_character(rep.lam, cls.mu))
+
+
+def quad_complex(v) -> complex:
+    """The complex number (a + b*sqrt(D))/2 that a QuadValue v stands for.
+
+    The library holds no float view of its values; tests that rebuild a
+    character numerically take it from here, with sqrt(D) = i*sqrt(|D|)
+    for D < 0 (the principal branch of cmath.sqrt).
+    """
+    return (v.a + v.b * cmath.sqrt(v.D)) / 2
 
 
 def multiplication_perm(i: int, modulus: int) -> tuple[int, ...]:

@@ -232,11 +232,6 @@ def test_quadvalue_normal_form():
         QuadValue(1, 2, 0)
 
 
-def test_quadvalue_as_a_complex_number():
-    assert complex(QuadValue(-1, 1, -3)) == pytest.approx(complex(-0.5, math.sqrt(3) / 2))
-    assert complex(QuadValue(1, 1, 5)) == pytest.approx((1 + math.sqrt(5)) / 2)
-
-
 def test_quadvalue_string_forms():
     assert str(QuadValue(4, 0, 0)) == "2"
     assert str(QuadValue(1, 0, 0)) == "1/2"

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from altchar.acceptance import sn_multiplicity_oracle
 from altchar.characters import TAG_MINUS, TAG_NONE, TAG_PLUS, AnClass, an_classes, an_irreps
 from altchar.classify import (
     has_invariant_an,
@@ -19,11 +20,10 @@ from altchar.multiplicity import (
     an_multiplicity_vector,
     order_of_type,
     power_conjugacy,
-    sn_multiplicity_oracle,
     sn_multiplicity_vector,
 )
 from altchar.partitions import partitions
-from conftest import an_character
+from conftest import an_character, quad_complex
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -117,7 +117,7 @@ def an_multiplicities_from_characters(rep, cls) -> list[int]:
             tag = cls.tag
             if power_conjugacy(mu, j) == "swapped":
                 tag = TAG_MINUS if tag == TAG_PLUS else TAG_PLUS
-        values.append(complex(an_character(rep, AnClass(_power_type(mu, j), tag))))
+        values.append(quad_complex(an_character(rep, AnClass(_power_type(mu, j), tag))))
     out = []
     for i in range(m):
         z = sum(v * cmath.exp(-2j * math.pi * i * j / m) for j, v in enumerate(values)) / m

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-public function and method has a caller.
+"""Every name a library module imports is used in that module, every
+public function and method has a caller, and no module but the acceptance
+checklist touches floating point.
 
 The package's __init__ imports names to re-export them and is left out of
 the unused-import scan.
@@ -48,6 +49,40 @@ def test_no_unused_imports(path):
 def test_the_scan_flags_a_stale_import():
     source = "import cmath\nfrom fractions import Fraction\nfrom . import perms\n\nx = perms.sign\n"
     assert _unused_imports(source) == ["cmath (line 1)", "Fraction (line 2)"]
+
+
+def _float_uses(source: str) -> list[str]:
+    """Each cmath import, call of complex and float or imaginary literal in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(a.name == "cmath" for a in node.names) or (
+            isinstance(node, ast.ImportFrom) and node.module == "cmath"
+        ):
+            found.append((node.lineno, "cmath import"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "complex":
+            found.append((node.lineno, "complex call"))
+        elif isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append((node.lineno, f"literal {node.value!r}"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.stem != "acceptance"), ids=lambda p: p.stem
+)
+def test_no_floats_outside_the_checklist(path):
+    """The engines are exact; the one float check, bias_oracle, lives in acceptance."""
+    assert _float_uses(path.read_text()) == []
+
+
+def test_the_scan_flags_a_float():
+    source = "import cmath\nfrom cmath import exp\nx = complex(1, 2)\ny = 0.5 + 2j\nz = exp(1)\n"
+    assert _float_uses(source) == [
+        "cmath import (line 1)",
+        "cmath import (line 2)",
+        "complex call (line 3)",
+        "literal 0.5 (line 4)",
+        "literal 2j (line 4)",
+    ]
 
 
 def _public_definitions(tree: ast.Module) -> list[tuple[str, str]]:
