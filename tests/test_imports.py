@@ -55,10 +55,12 @@ def _float_uses(source: str) -> list[str]:
     """Each cmath import, call of complex and float or imaginary literal in source."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import) and any(a.name == "cmath" for a in node.names) or (
-            isinstance(node, ast.ImportFrom) and node.module == "cmath"
-        ):
-            found.append((node.lineno, "cmath import"))
+        if isinstance(node, ast.Import):
+            if any(alias.name == "cmath" for alias in node.names):
+                found.append((node.lineno, "cmath import"))
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "cmath":
+                found.append((node.lineno, "cmath import"))
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "complex":
             found.append((node.lineno, "complex call"))
         elif isinstance(node, ast.Constant) and type(node.value) in (float, complex):
