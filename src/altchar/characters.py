@@ -2,11 +2,13 @@
 
 Symmetric-group character values come from the Murnaghan-Nakayama rule:
 strip every rim hook of length mu[0] off the shape and recurse on mu[1:].
-Both engines take their hooks from one rim-hook step on beta-sets,
-_rim_hooks.  _mn evaluates one entry, for mn_character and the
-multiplicity vectors; _column gives every shape's value at one cycle
-type, through one transition table per (n, h), for the A_n character
-tables and the global-class sums.
+Inside this module a shape is held by its beta-set, as one int bit mask
+(_beta_mask), and both engines take their hooks from one rim-hook step on
+those masks, _rim_hooks.  _mn evaluates one entry, memoized by (mask,
+suffix of mu), for mn_character and the multiplicity vectors; _column
+gives every shape's value at one cycle type, through one transition table
+per (n, h), for the A_n character tables and the global-class sums.
+Callers outside the module hand over shapes, never masks.
 
 Restricting to the alternating group, the representation of a
 non-self-conjugate shape stays irreducible (and equals that of its
@@ -42,59 +44,84 @@ TAG_PLUS = "+"
 TAG_MINUS = "-"
 
 
-def _beta_set(lam: Partition) -> tuple[int, ...]:
-    k = len(lam)
-    return tuple(lam[i] + k - 1 - i for i in range(k))
+def _beta_mask(lam: Partition) -> int:
+    """The beta-set of lam as a bit mask: bead lam[i] + k - 1 - i for each of its k rows.
 
-
-def _rim_hooks(lam: Partition, h: int) -> list[tuple[int, Partition]]:
-    """(sign, lam minus the rim hook) for each rim hook of length h in lam.
-
-    The one rim-hook step of the MN rule.  On the beta-set of lam, in
-    decreasing order, a hook moves one bead b down to an empty place
-    c = b - h; its height is the number of beads it passes, and its sign
-    is (-1)^height.
+    Bit 0 is clear for every shape but (), whose mask is 0, and this
+    canonical mask is the key every memo below holds a shape by.
     """
     k = len(lam)
-    beta = _beta_set(lam)
-    present = set(beta)
+    return sum(1 << (part + k - 1 - i) for i, part in enumerate(lam))
+
+
+def _rim_hooks(beta: int, h: int) -> list[tuple[int, int]]:
+    """(sign, mask of lam minus the hook) for each rim hook of length h in lam, of mask beta.
+
+    The one rim-hook step of the MN rule.  A hook moves one bead b down to
+    an empty place c = b - h, highest bead first; its height is the number
+    of beads strictly between c and b, and its sign is (-1)^height.  When
+    c = 0, the beads left at 0, 1, ... are rows of length 0 and are
+    shifted out, so every result is canonical again.
+
+    >>> _beta_mask((2, 2)), _beta_mask((1, 1)), _beta_mask((2,))
+    (12, 6, 4)
+    >>> _rim_hooks(12, 2)
+    [(-1, 6), (1, 4)]
+    """
+    between = (1 << (h - 1)) - 1
+    move = (1 << h) | 1
+    ends = (beta & ~(beta << h)) >> h  # c = b - h for each bead b whose place c is empty
     out = []
-    for i, b in enumerate(beta):
-        c = b - h
-        if c < 0 or c in present:
-            continue
-        j = i + 1
-        while j < k and beta[j] > c:
-            j += 1
-        moved = beta[:i] + beta[i + 1 : j] + (c,) + beta[j:]
-        out.append(((-1) ** (j - i - 1), tuple(x - (k - 1 - t) for t, x in enumerate(moved) if x > k - 1 - t)))
+    while ends:
+        c = ends.bit_length() - 1
+        ends ^= 1 << c
+        smaller = beta ^ (move << c)
+        if c == 0:
+            smaller >>= (smaller ^ (smaller + 1)).bit_length() - 1
+        out.append((-1 if ((beta >> (c + 1)) & between).bit_count() & 1 else 1, smaller))
     return out
 
 
 @cache
-def _mn(lam: Partition, mu: Partition) -> int:
+def _mn(beta: int, mu: Partition) -> int:
+    """chi^lam(mu) for the shape lam of mask beta, memoized by (mask, suffix of mu)."""
     if not mu:
         return 1
     rest = mu[1:]  # one suffix tuple, shared by every child's memo key
     total = 0
-    for sign, smaller in _rim_hooks(lam, mu[0]):
+    for sign, smaller in _rim_hooks(beta, mu[0]):
         total += sign * _mn(smaller, rest)
     return total
 
 
+def _sn_values(lam: Partition, types: list[Partition]) -> list[int]:
+    """chi^lam at each cycle type in types, through _mn; lam and types are trusted."""
+    beta = _beta_mask(lam)
+    return [_mn(beta, mu) for mu in types]
+
+
 @cache
-def _row_index(n: int) -> dict[Partition, int]:
-    """The row of each lam in a column of size n: its place in partitions(n)."""
-    return {lam: i for i, lam in enumerate(partitions(n))}
+def _row_index(n: int) -> dict[int, int]:
+    """The row of each shape of size n, by mask: its place in partitions(n)."""
+    return {_beta_mask(lam): i for i, lam in enumerate(partitions(n))}
+
+
+def _row_of(lam: Partition) -> int:
+    """The row of lam in a column of size sum(lam)."""
+    return _row_index(sum(lam))[_beta_mask(lam)]
 
 
 @cache
 def _rim_table(n: int, h: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each lam in partitions(n): (sign, index in partitions(n - h)) per h-rim hook."""
+    """For each lam in partitions(n): (sign, index in partitions(n - h)) per h-rim hook.
+
+    It walks the masks of _row_index(n), which are in partitions(n) order,
+    and finds each smaller shape's row by its mask in _row_index(n - h).
+    The memo holds one such tuple of (sign, row) pairs per (n, h); the
+    _row_index memo holds one mask-to-row dict per size.
+    """
     index = _row_index(n - h)
-    return tuple(
-        tuple((sign, index[smaller]) for sign, smaller in _rim_hooks(lam, h)) for lam in partitions(n)
-    )
+    return tuple(tuple((sign, index[smaller]) for sign, smaller in _rim_hooks(beta, h)) for beta in _row_index(n))
 
 
 @cache
@@ -116,7 +143,7 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"sizes differ: |{format_partition(lam)}| != |{format_partition(mu)}|")
-    return _mn(lam, mu)
+    return _mn(_beta_mask(lam), mu)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +407,11 @@ def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
     Each class's cell values are read from one whole S_n column, the
     values of every shape at its cycle type, which _column builds from the
     columns of the type's suffixes by the MN rule.  Three unbounded memos
-    back it, as _mn's does: _column holds one tuple per suffix type asked,
-    _rim_table one tuple per (n, h) it met and _row_index one dict per
-    size; the tables up to n = 18 leave 981 columns and 162 rim tables.
+    back it, as one does _mn, whose keys are (beta-set mask, suffix of mu)
+    pairs: _column holds one tuple per suffix type asked, _rim_table one
+    tuple of (sign, row) pairs per (n, h) it met and _row_index one dict
+    from beta-set mask to row per size; the tables up to n = 18 leave 981
+    columns and 162 rim tables.
     The column and row memos are shared with the global-class sums, and
     neither calls _mn.
     """
@@ -395,6 +424,6 @@ def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
     columns = [_column(c.mu) for c in classes]
     values = tuple(
         tuple(_an_value(r, c, col[i]) for c, col in zip(classes, columns))
-        for r, i in ((r, _row_index(n)[r.lam]) for r in reps)
+        for r, i in ((r, _row_of(r.lam)) for r in reps)
     )
     return CharacterTable(n, reps, classes, values)

@@ -43,7 +43,7 @@ from .characters import (
     in_alternating,
     _an_value,
     _column,
-    _row_index,
+    _row_of,
 )
 from .errors import InternalCheckError
 from .partitions import (
@@ -256,10 +256,9 @@ def _inner_products(n: int, tally: Counter) -> dict[AnIrrep, int]:
     size = sum(tally.values())
     whole = [(count, _column(t)) for (t, _), count in tally.items()]
     split = [(AnClass(t, tag), count, _column(t)) for (t, tag), count in tally.items() if tag]
-    row_of = _row_index(n)
     out = {}
     for rep in an_irreps(n):
-        i = row_of[rep.lam]
+        i = _row_of(rep.lam)
         total = sum(count * col[i] for count, col in whole)
         if rep.tag != TAG_NONE:
             radical = 0

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .characters import TAG_NONE, AnClass, AnIrrep, _mn
+from .characters import TAG_NONE, AnClass, AnIrrep, _sn_values
 from .errors import InternalCheckError
 from .numtheory import _squarefree_split, divisors, jacobi, p_adic_split, ramanujan
 from .partitions import (
@@ -86,7 +86,7 @@ def _sn_entries(lam: Partition, mu: Partition) -> tuple[int, ...]:
     """The entries of sn_multiplicity_vector; lam and mu are trusted, of equal size."""
     m = order_of_type(mu)
     divs = divisors(m)
-    chi = [_mn(lam, _power_type(mu, d)) for d in divs]
+    chi = _sn_values(lam, [_power_type(mu, d) for d in divs])
     by_gcd = {}
     for g in divs:
         total = sum(c * ramanujan(m // d, g) for c, d in zip(chi, divs))

@@ -7,8 +7,10 @@ from altchar.characters import (
     AnClass,
     AnIrrep,
     QuadValue,
+    _beta_mask,
     _column,
     _mn,
+    _rim_hooks,
     an_classes,
     an_irreps,
     _an_value,
@@ -27,6 +29,8 @@ from altchar.partitions import (
     phi,
     sn_class_size,
 )
+from altchar.multiplicity import _power_type, order_of_type, sn_multiplicity_vector
+from altchar.numtheory import divisors
 from conftest import an_character, shape_type_pairs
 
 # the symmetric group on 4 points: rows are shapes, columns cycle types
@@ -80,7 +84,91 @@ def test_columns_equal_the_recursion():
     for n in range(15):
         plist = partitions(n)
         for mu in plist:
-            assert list(_column(mu)) == [_mn(lam, mu) for lam in plist]
+            assert list(_column(mu)) == [mn_character(lam, mu) for lam in plist]
+
+
+def beta_set(lam):
+    """The beta-set of lam as a decreasing tuple: bead lam[i] + k - 1 - i for row i."""
+    k = len(lam)
+    return tuple(lam[i] + k - 1 - i for i in range(k))
+
+
+def tuple_rim_hooks(beta, h):
+    """(sign, smaller shape) per rim hook of length h, on the beta-set tuple of a shape.
+
+    The reference for the mask step _rim_hooks.  A hook moves bead b down
+    to an empty place c = b - h, highest bead first, with the sign of the
+    number of beads it passes; the smaller shape is read back from the
+    moved tuple, dropping rows of length 0.
+    """
+    k = len(beta)
+    present = set(beta)
+    out = []
+    for i, b in enumerate(beta):
+        c = b - h
+        if c < 0 or c in present:
+            continue
+        j = i + 1
+        while j < k and beta[j] > c:
+            j += 1
+        moved = beta[:i] + beta[i + 1 : j] + (c,) + beta[j:]
+        out.append(((-1) ** (j - i - 1), tuple(x - (k - 1 - t) for t, x in enumerate(moved) if x > k - 1 - t)))
+    return out
+
+
+def test_masks_are_distinct_and_canonical():
+    """One mask per shape, n <= 14; bit 0 is clear, and only () has mask 0."""
+    masks = {}
+    for n in range(15):
+        for lam in partitions(n):
+            mask = _beta_mask(lam)
+            assert mask & 1 == 0
+            assert (mask == 0) == (lam == ())
+            assert masks.setdefault(mask, lam) == lam
+
+
+def test_mask_step_equals_the_tuple_step():
+    """Same hooks, signs and order as the tuple step, each result the canonical mask, n <= 14."""
+    for n in range(15):
+        for lam in partitions(n):
+            beta = _beta_mask(lam)
+            for h in range(1, n + 1):
+                expected = [(sign, _beta_mask(shape)) for sign, shape in tuple_rim_hooks(beta_set(lam), h)]
+                assert _rim_hooks(beta, h) == expected, (lam, h)
+
+
+def test_mn_memo_holds_one_key_per_shape_and_suffix():
+    """The entry memo holds one key per (shape, suffix) pair the tuple recursion visits.
+
+    A shape reached under two masks would still give right values while
+    doubling the memo; this counts the keys.
+    """
+    queries = [
+        ((5, 4, 3, 2, 1), (7, 5, 3)),
+        ((5, 4, 3, 2, 1), (6, 4, 2, 1, 1, 1)),
+        ((6, 3, 3, 2, 1), (5, 4, 3, 2, 1)),
+        ((4, 4, 4, 4), (8, 5, 3)),
+        ((9, 2, 1), (4, 3, 3, 2)),
+        ((1,) * 12, (6, 4, 2)),
+        ((1,), (1,)),
+    ]
+    _mn.cache_clear()
+    for lam, mu in queries:
+        sn_multiplicity_vector(lam, mu)
+    visited = set()
+
+    def visit(lam, mu):
+        if (lam, mu) in visited:
+            return
+        visited.add((lam, mu))
+        if mu:
+            for _, smaller in tuple_rim_hooks(beta_set(lam), mu[0]):
+                visit(smaller, mu[1:])
+
+    for lam, mu in queries:
+        for d in divisors(order_of_type(mu)):
+            visit(lam, _power_type(mu, d))
+    assert _mn.cache_info().currsize == len(visited)
 
 
 # --- the alternating side ----------------------------------------------------
