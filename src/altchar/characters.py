@@ -7,7 +7,9 @@ Inside this module a shape is held by its beta-set, as one int bit mask
 those masks, _rim_hooks.  _mn evaluates one entry, memoized by (mask,
 suffix of mu), for mn_character and the multiplicity vectors; _column
 gives every shape's value at one cycle type, through one transition table
-per (n, h), for the A_n character tables and the global-class sums.
+per (n, h), for the A_n character tables and the global-class sums.  A
+column sums one row per transpose pair, the shape lam >= lam', and writes
+its transpose's row by the sign twist chi^lam'(mu) = sgn(mu) chi^lam(mu).
 Callers outside the module hand over shapes, never masks.
 
 Restricting to the alternating group, the representation of a
@@ -52,6 +54,15 @@ def _beta_mask(lam: Partition) -> int:
     """
     k = len(lam)
     return sum(1 << (part + k - 1 - i) for i, part in enumerate(lam))
+
+
+def _transpose_mask(beta: int) -> int:
+    """The mask of the transpose: beta complemented and reversed within its bit_length.
+
+    >>> _beta_mask((3, 1)), _beta_mask((2, 1, 1)), _transpose_mask(18), _transpose_mask(22)
+    (18, 22, 22, 18)
+    """
+    return int(format(beta, "b")[::-1], 2) ^ ((1 << beta.bit_length()) - 1)
 
 
 def _rim_hooks(beta: int, h: int) -> list[tuple[int, int]]:
@@ -101,36 +112,60 @@ def _sn_values(lam: Partition, types: list[Partition]) -> list[int]:
 
 
 @cache
-def _row_index(n: int) -> dict[int, int]:
-    """The row of each shape of size n, by mask: its place in partitions(n)."""
-    return {_beta_mask(lam): i for i, lam in enumerate(partitions(n))}
+def _row_index(n: int) -> tuple[dict[int, int], tuple[int, ...]]:
+    """The row in partitions(n) of each shape of size n, by mask; and twin, each row's transpose row.
+
+    Rows run in descending lexicographic order, so lam >= lam' exactly when
+    r <= twin[r].  twin is checked once: an involution fixing the phi images
+    of the distinct-odd types, so with (p(n) + #fixed)/2 rows r <= twin[r].
+    """
+    plist = partitions(n)
+    index = {_beta_mask(lam): i for i, lam in enumerate(plist)}
+    twin = tuple(index[_transpose_mask(beta)] for beta in index)
+    fixed = {r for r, t in enumerate(twin) if r == t}
+    selfconj = {index[_beta_mask(_phi(mu))] for mu in plist if len(set(mu)) == len(mu) and all(p % 2 for p in mu)}
+    kept = sum(r <= t for r, t in enumerate(twin))
+    if any(twin[t] != r for r, t in enumerate(twin)) or fixed != selfconj or 2 * kept != len(plist) + len(fixed):
+        raise InternalCheckError(f"the transpose map of size {n} fails its check")
+    return index, twin
 
 
 def _row_of(lam: Partition) -> int:
     """The row of lam in a column of size sum(lam)."""
-    return _row_index(sum(lam))[_beta_mask(lam)]
+    return _row_index(sum(lam))[0][_beta_mask(lam)]
 
 
 @cache
-def _rim_table(n: int, h: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each lam in partitions(n): (sign, index in partitions(n - h)) per h-rim hook.
+def _rim_table(n: int, h: int) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """For each row r of partitions(n) with lam >= lam': r, twin[r] and its h-rim hooks.
 
-    It walks the masks of _row_index(n), which are in partitions(n) order,
-    and finds each smaller shape's row by its mask in _row_index(n - h).
-    The memo holds one such tuple of (sign, row) pairs per (n, h); the
-    _row_index memo holds one mask-to-row dict per size.
+    A hook is a (sign, index in partitions(n - h)) pair.  It walks the
+    masks of _row_index(n), which are in partitions(n) order, and finds
+    each smaller shape's row by its mask in _row_index(n - h).  The memo
+    holds one such tuple per (n, h); the _row_index memo holds one
+    mask-to-row dict and one transpose map per size.
     """
-    index = _row_index(n - h)
-    return tuple(tuple((sign, index[smaller]) for sign, smaller in _rim_hooks(beta, h)) for beta in _row_index(n))
+    (index, twin), below = _row_index(n), _row_index(n - h)[0]
+    return tuple((r, t, tuple((sign, below[smaller]) for sign, smaller in _rim_hooks(beta, h)))
+                 for r, (beta, t) in enumerate(zip(index, twin)) if r <= t)
 
 
 @cache
 def _column(mu: Partition) -> tuple[int, ...]:
-    """The values chi^lam(mu) for every lam in partitions(sum(mu)), in that order."""
+    """The values chi^lam(mu) for every lam in partitions(sum(mu)), in that order.
+
+    It sums the rows of lam >= lam'; lam' takes that times sgn(mu) = (-1)^(n - len(mu)).
+    """
     if not mu:
         return (1,)
+    n = sum(mu)
     below = _column(mu[1:])
-    return tuple(sum(sign * below[i] for sign, i in row) for row in _rim_table(sum(mu), mu[0]))
+    sign = -1 if (n - len(mu)) & 1 else 1
+    col = [0] * len(_row_index(n)[1])
+    for r, t, hooks in _rim_table(n, mu[0]):
+        col[r] = sum(s * below[i] for s, i in hooks)
+        col[t] = sign * col[r]  # when t == r and sign == -1, both are 0
+    return tuple(col)
 
 
 def mn_character(lam: Partition, mu: Partition) -> int:
@@ -377,7 +412,10 @@ def _an_value(rep: AnIrrep, cls: AnClass, value: int) -> QuadValue:
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Full character table of an alternating group, exact values."""
+    """Full character table of an alternating group, exact values.
+
+    The values are immutable QuadValues; equal cells may be one object.
+    """
 
     n: int
     irreps: tuple[AnIrrep, ...]
@@ -406,12 +444,15 @@ def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
 
     Each class's cell values are read from one whole S_n column, the
     values of every shape at its cycle type, which _column builds from the
-    columns of the type's suffixes by the MN rule.  Three unbounded memos
-    back it, as one does _mn, whose keys are (beta-set mask, suffix of mu)
-    pairs: _column holds one tuple per suffix type asked, _rim_table one
-    tuple of (sign, row) pairs per (n, h) it met and _row_index one dict
-    from beta-set mask to row per size; the tables up to n = 18 leave 981
-    columns and 162 rim tables.
+    columns of the type's suffixes by the MN rule, summing one row per
+    transpose pair.  Whole rows share one QuadValue per distinct S_n value,
+    from a dict that lives for this call; split rows go through _an_value.
+    Three unbounded memos back it, as one does _mn, whose keys are
+    (beta-set mask, suffix of mu) pairs: _column holds one tuple per suffix
+    type asked, _rim_table one tuple of kept rows with their transpose
+    rows and (sign, row) hooks per (n, h) it met, and _row_index one dict
+    from beta-set mask to row and one transpose map per size; the tables
+    up to n = 18 leave 981 columns and 162 rim tables.
     The column and row memos are shared with the global-class sums, and
     neither calls _mn.
     """
@@ -422,8 +463,11 @@ def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
     if len(reps) != len(classes):
         raise InternalCheckError(f"A_{n} has {len(reps)} irreducibles but {len(classes)} classes")
     columns = [_column(c.mu) for c in classes]
+    whole: dict[int, QuadValue] = {}
     values = tuple(
         tuple(_an_value(r, c, col[i]) for c, col in zip(classes, columns))
+        if r.tag
+        else tuple(whole.get(col[i]) or whole.setdefault(col[i], QuadValue.whole(col[i])) for col in columns)
         for r, i in ((r, _row_of(r.lam)) for r in reps)
     )
     return CharacterTable(n, reps, classes, values)

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given
 
+from altchar import characters
 from altchar.characters import (
     AnClass,
     AnIrrep,
@@ -11,6 +12,8 @@ from altchar.characters import (
     _column,
     _mn,
     _rim_hooks,
+    _rim_table,
+    _row_index,
     an_classes,
     an_irreps,
     _an_value,
@@ -21,6 +24,7 @@ from altchar.characters import (
     mn_character,
     parse_label,
 )
+from altchar.errors import InternalCheckError
 from altchar.partitions import (
     centralizer_order_sn,
     conjugate,
@@ -85,6 +89,26 @@ def test_columns_equal_the_recursion():
         plist = partitions(n)
         for mu in plist:
             assert list(_column(mu)) == [mn_character(lam, mu) for lam in plist]
+
+
+def test_transpose_map_pairs_each_row_with_its_conjugate():
+    """Row r maps to the row of conjugate(lam), n <= 20; columns sum exactly the rows of lam >= lam'."""
+    for n in range(21):
+        plist = partitions(n)
+        row = {lam: r for r, lam in enumerate(plist)}
+        index, twin = _row_index(n)
+        assert list(index.values()) == list(range(len(plist)))
+        assert twin == tuple(row[conjugate(lam)] for lam in plist)
+        kept = [(r, row[conjugate(lam)]) for r, lam in enumerate(plist) if lam >= conjugate(lam)]
+        for h in range(1, n + 1):
+            assert [(r, t) for r, t, _ in _rim_table(n, h)] == kept, (n, h)
+
+
+def test_a_wrong_transpose_map_is_refused(monkeypatch):
+    """The map is checked as it is built, by a raise that python -O keeps."""
+    monkeypatch.setattr(characters, "_transpose_mask", lambda beta: beta)
+    with pytest.raises(InternalCheckError):
+        _row_index.__wrapped__(6)
 
 
 def beta_set(lam):
@@ -274,12 +298,29 @@ def test_a3_table_is_the_cube_root_table():
     assert values == [(-1, -1, -3), (-1, 1, -3), (2, 0, 0)]
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_table_cells_equal_an_character(n):
     """Every cell, split and own-hook-type ones included, equals the per-entry value."""
-    table = character_table_an(n)
+    table = character_table_an(n, bound=n)
     for rep, row in zip(table.irreps, table.values):
         assert list(row) == [an_character(rep, cls) for cls in table.classes]
+
+
+@pytest.mark.parametrize("n", [5, 9, 14])
+def test_whole_cells_of_one_value_are_one_object(n):
+    """Within a table, equal whole-row cells are one QuadValue.
+
+    So the distinct cell objects number at most the distinct S_n values
+    of the whole rows plus the cells of the split rows.
+    """
+    table = character_table_an(n)
+    first = {}
+    for rep, row in zip(table.irreps, table.values):
+        if not rep.tag:
+            for cell in row:
+                assert first.setdefault(cell.a // 2, cell) is cell
+    split_cells = sum(len(row) for rep, row in zip(table.irreps, table.values) if rep.tag)
+    assert len({id(cell) for row in table.values for cell in row}) <= len(first) + split_cells
 
 
 def test_tables_do_not_fill_the_entry_memo():
