@@ -2,10 +2,8 @@
 
 from .partitions import (
     Partition,
-    CycleTypeData,
     check_partition,
     conjugate,
-    cycle_type_data,
     dimension,
     format_partition,
     has_distinct_odd_parts,

@@ -45,12 +45,12 @@ from .numtheory import divisors, jacobi
 from .partitions import (
     Partition,
     check_partition,
-    cycle_type_data,
     dimension,
     factorize,
     has_distinct_odd_parts,
     partitions,
     phi,
+    _distinct_odd,
 )
 from . import perms
 
@@ -145,15 +145,14 @@ def bias_oracle(mu: Partition, i: int) -> int:
     with the principal branch sqrt(-x) = i*sqrt(x).
     """
     mu = check_partition(mu)
-    if not has_distinct_odd_parts(mu):
+    if not _distinct_odd(mu):
         raise ValueError("bias oracle needs distinct odd parts")
-    data = cycle_type_data(mu)
-    if data.epsilon is None:
-        raise InternalCheckError(f"no sign epsilon for distinct odd type {mu}")
+    M, m = math.prod(mu), order_of_type(mu)
+    eps = (-1) ** sum((p - 1) // 2 for p in mu)
     total = 0j
-    for l in range(data.m):
-        total += jacobi(l, data.M) * cmath.exp(-2j * math.pi * i * l / data.m)
-    z = cmath.sqrt(complex(data.epsilon * data.M)) * total / data.m
+    for l in range(m):
+        total += jacobi(l, M) * cmath.exp(-2j * math.pi * i * l / m)
+    z = cmath.sqrt(complex(eps * M)) * total / m
     nearest = round(z.real)
     if abs(z.imag) > _ORACLE_TOL or abs(z.real - nearest) > _ORACLE_TOL:
         raise InternalCheckError(f"bias oracle did not land on an integer: {z}")

@@ -29,13 +29,14 @@ from functools import cache
 from .partitions import (
     Partition,
     check_partition,
-    conjugate,
-    cycle_type_data,
-    dimension,
     format_partition,
     parse_partition,
     partitions,
     sn_class_size,
+    _conjugate,
+    _dimension,
+    _distinct_odd,
+    _epsilon,
     _phi,
 )
 from .errors import InternalCheckError
@@ -123,7 +124,7 @@ def _row_index(n: int) -> tuple[dict[int, int], tuple[int, ...]]:
     index = {_beta_mask(lam): i for i, lam in enumerate(plist)}
     twin = tuple(index[_transpose_mask(beta)] for beta in index)
     fixed = {r for r, t in enumerate(twin) if r == t}
-    selfconj = {index[_beta_mask(_phi(mu))] for mu in plist if len(set(mu)) == len(mu) and all(p % 2 for p in mu)}
+    selfconj = {index[_beta_mask(_phi(mu))] for mu in plist if _distinct_odd(mu)}
     kept = sum(r <= t for r, t in enumerate(twin))
     if any(twin[t] != r for r, t in enumerate(twin)) or fixed != selfconj or 2 * kept != len(plist) + len(fixed):
         raise InternalCheckError(f"the transpose map of size {n} fails its check")
@@ -192,7 +193,7 @@ def in_alternating(mu: Partition) -> bool:
 
 def class_splits(mu: Partition) -> bool:
     """True when the symmetric-group class of type mu splits in two."""
-    return sum(mu) >= 2 and len(set(mu)) == len(mu) and all(p % 2 for p in mu)
+    return sum(mu) >= 2 and _distinct_odd(mu)
 
 
 def irrep_splits(lam: Partition) -> bool:
@@ -202,7 +203,7 @@ def irrep_splits(lam: Partition) -> bool:
 
 def _transpose_and_split(lam: Partition) -> tuple[Partition, bool]:
     """The transpose of lam, and whether lam splits, from one transpose."""
-    lamc = conjugate(lam)
+    lamc = _conjugate(lam)
     return lamc, sum(lam) >= 2 and lam == lamc
 
 
@@ -292,7 +293,7 @@ class AnIrrep:
         return sum(self.lam)
 
     def dim(self) -> int:
-        d = dimension(self.lam)
+        d = _dimension(self.lam)
         if self.tag:
             if d % 2:
                 raise InternalCheckError(f"split shape {format_partition(self.lam)} has odd dimension {d}")
@@ -327,17 +328,19 @@ def an_classes(n: int) -> tuple[AnClass, ...]:
 def an_irreps(n: int) -> tuple[AnIrrep, ...]:
     """Irreducibles of the alternating group on n points, trivial first.
 
-    The memo holds one shared tuple of frozen labels per n asked.
+    The memo holds one shared tuple of frozen labels per n asked.  Shapes
+    come in partitions(n) order with their transpose rows from _row_index:
+    row r is kept when r <= twin[r] (lam >= lam'), and splits when r == twin[r].
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    twin = _row_index(n)[1]
     out = []
-    for lam in partitions(n):
-        lamc, splits = _transpose_and_split(lam)
-        if splits:
+    for r, lam in enumerate(partitions(n)):
+        if r == twin[r] and n >= 2:
             out.append(AnIrrep(lam, TAG_PLUS))
             out.append(AnIrrep(lam, TAG_MINUS))
-        elif lam >= lamc:
+        elif r <= twin[r]:
             out.append(AnIrrep(lam))
     return tuple(out)
 
@@ -395,16 +398,15 @@ def _an_value(rep: AnIrrep, cls: AnClass, value: int) -> QuadValue:
 
     On a whole irreducible it is value itself.  A split half takes
     (eps +- sqrt(eps*M))/2 on the two classes of its own hook type (plus
-    sign when the tags agree), and value/2 everywhere else.
+    sign when the tags agree), and value/2 everywhere else.  Both constants
+    come from the parts of the split type: eps from _epsilon, and M, the
+    part product, as root**2 * core from _squarefree_split.
     """
     if rep.tag == TAG_NONE:
         return QuadValue.whole(value)
     if cls.tag and _phi(cls.mu) == rep.lam:
-        data = cycle_type_data(cls.mu)
-        eps = data.epsilon
-        if eps is None:
-            raise InternalCheckError(f"no sign epsilon for split class {cls.label()}")
-        root, core = _squarefree_split(data.M)
+        eps = _epsilon(cls.mu)
+        root, core = _squarefree_split(math.prod(cls.mu))
         b = root if rep.tag == cls.tag else -root
         return QuadValue(eps, b, eps * core)
     return QuadValue.half(value)

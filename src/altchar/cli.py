@@ -32,8 +32,6 @@ from .characters import (
     parse_label,
 )
 from .classify import (
-    has_invariant_an,
-    has_invariant_sn,
     invariant_failure_an,
     invariant_failure_sn,
     n_cycle_gaps,
@@ -180,14 +178,13 @@ def _cmd_invariant(args) -> Output:
     reps, classes = _operands(args, halves=True)
     if args.group == "sn":
         [lam], [mu] = reps, classes
-        verdict = has_invariant_sn(lam, mu)
         rule = invariant_failure_sn(lam, mu)
         labels = (format_partition(lam), format_partition(mu))
     else:
         pairs = [(r, c) for r in reps for c in classes]
-        verdict = _unanimous([has_invariant_an(r, c) for r, c in pairs], "the verdict")
         rule = _unanimous([invariant_failure_an(r, c) for r, c in pairs], "the rule")
         labels = (args.irrep, args.cls)
+    verdict = rule is None
     results = {"has_invariant": verdict, "rule": rule}
     text = [
         f"{labels[0]} has {'an' if verdict else 'no'} invariant vector at class {labels[1]}"

@@ -35,14 +35,7 @@ from dataclasses import dataclass
 from .characters import TAG_NONE, AnClass, AnIrrep, _sn_values
 from .errors import InternalCheckError
 from .numtheory import _squarefree_split, divisors, jacobi, p_adic_split, ramanujan
-from .partitions import (
-    Partition,
-    check_partition,
-    cycle_type_data,
-    format_partition,
-    has_distinct_odd_parts,
-    _phi,
-)
+from .partitions import Partition, check_partition, factorize, format_partition, _distinct_odd, _epsilon, _phi
 
 
 def _power_type(mu: Partition, d: int) -> Partition:
@@ -156,15 +149,20 @@ def bias_vector(mu: Partition) -> tuple[BiasResult, ...]:
     """Exact bias d_i between the split halves, at every index i mod m.
 
     The plus half is anchored to the class of standard_rep(mu).  The
-    defining sum is sqrt(eps*M)/m times one Gauss-sum factor per prime
-    power p**f exactly dividing m, and each factor depends on i only
-    through i mod p**f.  Write i == u * p**d mod p**f and M = root**2 *
-    odd_core.  With the orientation of the defining Fourier sum, an
-    odd-exponent prime p contributes p**(f-1) * (-u*m/p**f | p) * g(p) at
-    d == f-1 and zero otherwise, where g(p) is sqrt(p) for p = 1 mod 4 and
-    i*sqrt(p) for p = 3 mod 4; an even-exponent prime contributes the
-    Ramanujan sum c_{p**f}(i).  With t odd-exponent primes of residue
-    3 mod 4, the irrational parts combine to
+    constants come from the parts: eps from _epsilon, M = prod(mu) =
+    root**2 * odd_core from _squarefree_split, and m = lcm(mu) from
+    order_of_type, whose factorization gives the prime powers p**f.  A
+    prime has an odd exponent in M exactly when it divides odd_core; those
+    primes come first, each group ascending.  The defining sum is
+    sqrt(eps*M)/m times one Gauss-sum factor per prime power p**f exactly
+    dividing m, and each factor depends on i only through i mod p**f.
+    Write i == u * p**d mod p**f.  With the orientation of the defining
+    Fourier sum, an odd-exponent prime p contributes
+    p**(f-1) * (-u*m/p**f | p) * g(p) at d == f-1 and zero otherwise,
+    where g(p) is sqrt(p) for p = 1 mod 4 and i*sqrt(p) for p = 3 mod 4;
+    an even-exponent prime contributes the Ramanujan sum c_{p**f}(i).
+    With t odd-exponent primes of residue 3 mod 4, the irrational parts
+    combine to
 
         sqrt(eps*M) * prod g(p) = i**([eps < 0] + t) * root * odd_core,
 
@@ -178,48 +176,45 @@ def bias_vector(mu: Partition) -> tuple[BiasResult, ...]:
     entry is cross-checked against the closed form of its magnitude.
     """
     mu = check_partition(mu)
-    if not has_distinct_odd_parts(mu):
+    if not _distinct_odd(mu):
         raise ValueError(f"bias is defined for distinct odd parts only: {format_partition(mu)}")
-    data = cycle_type_data(mu)
-    if data.epsilon is None:
-        raise InternalCheckError(f"no sign epsilon for distinct odd type {mu}")
-    odd = data.primes[: data.s]
-    root, odd_core = _squarefree_split(data.M)
-    if odd_core != math.prod(pd.p for pd in odd):
-        raise InternalCheckError(f"squarefree core {odd_core} of M is not the product of its odd-exponent primes")
-    quarter_turns = (data.epsilon < 0) + sum(pd.p % 4 == 3 for pd in odd)
+    m = order_of_type(mu)
+    root, odd_core = _squarefree_split(math.prod(mu))
+    odd = [(p, f) for p, f in factorize(m) if odd_core % p == 0]
+    even = [(p, f) for p, f in factorize(m) if odd_core % p]
+    quarter_turns = (_epsilon(mu) < 0) + sum(p % 4 == 3 for p, _ in odd)
     if quarter_turns % 2:
         raise InternalCheckError(f"non-real bias constant for {mu}: eps is not M mod 4")
     scale = (-1) ** (quarter_turns // 2) * root * odd_core
-    even_core = math.prod(pd.p for pd in data.primes[data.s :])
+    even_core = math.prod(p for p, _ in even)
 
     # Per prime power, at each residue r: its condition, its factor of d_i
     # and its factor of the magnitude numerator (p - 1 when p**f divides r).
     tables = []
-    for j, pd in enumerate(data.primes):
-        q = pd.p**pd.f
+    for j, (p, f) in enumerate(odd + even):
+        q = p**f
         rows = []
         for r in range(q):
-            d, u = p_adic_split(r, pd.p, pd.f)
-            if j >= data.s:
+            d, u = p_adic_split(r, p, f)
+            if j >= len(odd):
                 factor = ramanujan(q, r)
-            elif d == pd.f - 1:
-                factor = pd.p ** (pd.f - 1) * jacobi(-(data.m // q) * u, pd.p)
+            elif d == f - 1:
+                factor = p ** (f - 1) * jacobi(-(m // q) * u, p)
             else:
                 factor = 0
-            cond = PrimeCondition(pd.p, pd.f, d, u, factor != 0)
-            magnitude = (pd.p - 1 if d == pd.f else 1) if factor else 0
+            cond = PrimeCondition(p, f, d, u, factor != 0)
+            magnitude = (p - 1 if d == f else 1) if factor else 0
             rows.append((cond, factor, magnitude))
         tables.append((q, rows))
 
     out = []
-    for i in range(data.m):
+    for i in range(m):
         local = [rows[i % q] for q, rows in tables]
         conditions = tuple(c for c, _, _ in local)
         if not all(c.ok for c in conditions):
             out.append(BiasResult(mu, i, 0, 0, conditions))
             continue
-        value, r = divmod(scale * math.prod(f for _, f, _ in local), data.m)
+        value, r = divmod(scale * math.prod(f for _, f, _ in local), m)
         if r != 0:
             raise InternalCheckError(f"non-integral bias at {mu}, i={i}")
         magnitude, r = divmod(root * math.prod(k for _, _, k in local), even_core)
@@ -266,9 +261,9 @@ def power_conjugacy(mu: Partition, i: int) -> str:
     Jacobi symbol (i | M).
     """
     mu = check_partition(mu)
-    if not has_distinct_odd_parts(mu):
+    if not _distinct_odd(mu):
         raise ValueError("power conjugacy concerns split classes: distinct odd parts required")
-    data = cycle_type_data(mu)
-    if math.gcd(i, data.m) != 1:
-        raise ValueError(f"i={i} must be coprime to the order {data.m}")
-    return "same" if jacobi(i, data.M) == 1 else "swapped"
+    m = order_of_type(mu)
+    if math.gcd(i, m) != 1:
+        raise ValueError(f"i={i} must be coprime to the order {m}")
+    return "same" if jacobi(i, math.prod(mu)) == 1 else "swapped"

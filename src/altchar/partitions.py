@@ -1,4 +1,4 @@
-"""Integer partitions, the hook bijection phi, and cycle-type arithmetic.
+"""Integer partitions, the hook bijection phi, and the sign of a split class.
 
 A partition is a plain tuple of weakly decreasing positive integers; the
 empty tuple is the unique partition of 0.
@@ -8,14 +8,15 @@ parse_partition when it arrives as text, by the AnIrrep and AnClass
 constructors when it arrives as a label, and by every partition-taking
 function that the altchar package exports.  Each raises
 InvalidPartitionError on a malformed tuple.  Code below those points,
-here and in the other modules, takes canonical tuples on trust.
+here and in the other modules, takes canonical tuples on trust and calls
+the trusted kernels: _conjugate, _distinct_odd, _phi, _dimension and
+_epsilon.  A checked entry point is its check followed by its kernel.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 
 Partition = tuple[int, ...]
@@ -90,15 +91,31 @@ def conjugate(lam: Partition) -> Partition:
     >>> conjugate((3, 3, 1))
     (3, 2, 2)
     """
-    lam = check_partition(lam)
+    return _conjugate(check_partition(lam))
+
+
+def _conjugate(lam: Partition) -> Partition:
+    """conjugate on a trusted tuple."""
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
 
 
 def has_distinct_odd_parts(mu: Partition) -> bool:
-    mu = check_partition(mu)
-    return all(p % 2 == 1 for p in mu) and len(set(mu)) == len(mu)
+    return _distinct_odd(check_partition(mu))
+
+
+def _distinct_odd(mu: Partition) -> bool:
+    """has_distinct_odd_parts on a trusted tuple: the types whose class splits."""
+    return all(p % 2 for p in mu) and len(set(mu)) == len(mu)
+
+
+def _epsilon(mu: Partition) -> int:
+    """The sign (-1)**sum((p-1)/2) of a trusted type with distinct odd parts.
+
+    It equals the part product mod 4, so eps * prod(mu) == 1 mod 4.
+    """
+    return -1 if sum((p - 1) // 2 for p in mu) % 2 else 1
 
 
 def phi(mu: Partition) -> Partition:
@@ -111,7 +128,7 @@ def phi(mu: Partition) -> Partition:
     (3, 3, 2)
     """
     mu = check_partition(mu)
-    if not has_distinct_odd_parts(mu):
+    if not _distinct_odd(mu):
         raise InvalidPartitionError(f"parts must be distinct and odd: {mu}")
     return _phi(mu)
 
@@ -137,7 +154,7 @@ def dimension(lam: Partition) -> int:
 def _dimension(lam: Partition) -> int:
     # Checked before the memo: (True,) and (2.0,) hash like (1,) and (2,).
     n = sum(lam)
-    lamc = conjugate(lam)
+    lamc = _conjugate(lam)
     denom = 1
     for i, row in enumerate(lam):
         for j in range(row):
@@ -179,55 +196,3 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         out.append((n, 1))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class PrimeData:
-    """One prime of the part product: p**e divides the product, p**f the lcm."""
-
-    p: int
-    e: int
-    f: int
-
-
-@dataclass(frozen=True)
-class CycleTypeData:
-    """Multiplicative data attached to a cycle type.
-
-    M is the product of the parts, m their least common multiple.  The
-    primes are ordered with odd-exponent ones first (ascending), then
-    even-exponent ones (ascending); s counts the odd-exponent primes.
-    epsilon is (-1)**sum((part-1)/2), defined only when the parts are
-    distinct and odd.
-    """
-
-    mu: Partition
-    M: int
-    m: int
-    primes: tuple[PrimeData, ...]
-    s: int
-    epsilon: int | None
-
-
-def cycle_type_data(mu: Partition) -> CycleTypeData:
-    mu = check_partition(mu)
-    product_expo: dict[int, int] = {}
-    lcm_expo: dict[int, int] = {}
-    for part in mu:
-        for p, e in factorize(part):
-            product_expo[p] = product_expo.get(p, 0) + e
-            lcm_expo[p] = max(lcm_expo.get(p, 0), e)
-    odd = sorted(p for p, e in product_expo.items() if e % 2 == 1)
-    even = sorted(p for p, e in product_expo.items() if e % 2 == 0)
-    primes = tuple(PrimeData(p, product_expo[p], lcm_expo[p]) for p in odd + even)
-    epsilon = None
-    if has_distinct_odd_parts(mu):
-        epsilon = -1 if sum((p - 1) // 2 for p in mu) % 2 else 1
-    return CycleTypeData(
-        mu=mu,
-        M=math.prod(mu),
-        m=math.lcm(*mu) if mu else 1,
-        primes=primes,
-        s=len(odd),
-        epsilon=epsilon,
-    )

@@ -1,8 +1,11 @@
-"""Every partition-taking name that altchar exports checks its partitions.
+"""Every partition-taking name that altchar exports checks its partitions,
+and checks each one once.
 
 The modules below the package take canonical tuples on trust, so these
 entry points are the only guard against a malformed partition.
 """
+
+import sys
 
 import pytest
 
@@ -17,7 +20,6 @@ ENTRY_POINTS = {
     "has_distinct_odd_parts": altchar.has_distinct_odd_parts,
     "phi": altchar.phi,
     "dimension": altchar.dimension,
-    "cycle_type_data": altchar.cycle_type_data,
     "mn_character(lam)": lambda mu: altchar.mn_character(mu, (2,)),
     "mn_character(mu)": lambda mu: altchar.mn_character((2,), mu),
     "sn_multiplicity_vector(lam)": lambda mu: altchar.sn_multiplicity_vector(mu, (2,)),
@@ -52,3 +54,47 @@ def test_dimension_checks_before_its_memo():
     for bad in [(True,), (2.0,)]:
         with pytest.raises(InvalidPartitionError):
             altchar.dimension(bad)
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Count check_partition calls through every altchar module that binds it."""
+    real = altchar.partitions.check_partition
+    count = [0]
+
+    def counted(parts):
+        count[0] += 1
+        return real(parts)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "altchar" or name.startswith("altchar.")) and getattr(module, "check_partition", None) is real:
+            monkeypatch.setattr(module, "check_partition", counted)
+    return count
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_a_table_checks_each_label_once(checks, n):
+    """Labels are built from trusted shapes; only their constructors check them."""
+    altchar.an_irreps.cache_clear()
+    altchar.an_classes.cache_clear()
+    table = altchar.character_table_an(n)
+    assert checks[0] == len(table.irreps) + len(table.classes)
+
+
+ONE_PARTITION = {
+    "bias_vector": lambda: altchar.bias_vector((15, 9, 3)),
+    "power_conjugacy": lambda: altchar.power_conjugacy((15, 9, 3), 2),
+    "phi": lambda: altchar.phi((5, 3)),
+    "has_distinct_odd_parts": lambda: altchar.has_distinct_odd_parts((5, 3)),
+    "dimension": lambda: altchar.dimension((4, 2, 1)),
+    "AnIrrep": lambda: altchar.AnIrrep((4, 2, 1)).dim(),
+    "AnIrrep(tagged)": lambda: altchar.AnIrrep((3, 3, 2), "+").dim(),
+    "AnClass": lambda: altchar.AnClass((3, 1, 1)).size(),
+    "AnClass(tagged)": lambda: altchar.AnClass((5, 3), "+").size(),
+}
+
+
+@pytest.mark.parametrize("name", ONE_PARTITION)
+def test_an_entry_point_checks_its_partition_once(checks, name):
+    ONE_PARTITION[name]()
+    assert checks[0] == 1

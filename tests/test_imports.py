@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
-public function and method has a caller, and no module but the acceptance
-checklist touches floating point.
+public function and method has a caller, no module but the acceptance
+checklist touches floating point, and the engines never call a checked
+partition entry point.
 
 The package's __init__ imports names to re-export them and is left out of
 the unused-import scan.
@@ -84,6 +85,43 @@ def test_the_scan_flags_a_float():
         "complex call (line 3)",
         "literal 0.5 (line 4)",
         "literal 2j (line 4)",
+    ]
+
+
+CHECKED = {"conjugate", "dimension", "phi", "has_distinct_odd_parts", "cycle_type_data"}
+ENGINES = ["characters", "multiplicity", "global_classes", "classify"]
+
+
+def _checked_reads(source: str) -> list[str]:
+    """Each import or read of a checked partitions entry point in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in CHECKED]
+        elif isinstance(node, ast.Name) and node.id in CHECKED:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in CHECKED:
+            found.append((node.lineno, node.attr))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("module", ENGINES)
+def test_engines_call_the_trusted_kernels(module):
+    """Below the boundary a partition is trusted: the engines call _conjugate,
+    _dimension, _phi and _distinct_odd, never the entry points that check again."""
+    assert _checked_reads((PACKAGE / f"{module}.py").read_text()) == []
+
+
+def test_the_scan_flags_a_checked_read():
+    source = (
+        "from .partitions import _conjugate, conjugate\n"
+        "x = conjugate((2,))\ny = P.dimension(x)\nz = _conjugate(x) + _phi(x)\nw = phi\n"
+    )
+    assert _checked_reads(source) == [
+        "conjugate (line 1)",
+        "conjugate (line 2)",
+        "dimension (line 3)",
+        "phi (line 5)",
     ]
 
 

@@ -18,7 +18,7 @@ from altchar.multiplicity import (
     sn_multiplicity_vector,
 )
 from altchar.partitions import (
-    cycle_type_data,
+    _epsilon,
     dimension,
     format_partition,
     has_distinct_odd_parts,
@@ -119,6 +119,8 @@ def test_bias_worked_example():
     assert values[15] == (0, 0)
     assert values[3][1] == 3
     assert values[9][1] == 6
+    # M = 405 = 3**4 * 5: the odd-exponent prime 5 comes before 3
+    assert [c.p for c in bias_vector((15, 9, 3))[0].conditions] == [5, 3]
 
 
 def test_bias_on_a_three_cycle():
@@ -173,11 +175,13 @@ def _distinct_odd_types(n: int) -> list:
 
 
 def test_sign_epsilon_is_the_part_product_mod_4():
-    """eps = M mod 4, which makes the bias constant of the integer form real."""
+    """eps = M mod 4, which makes the bias constant of the integer form real,
+    and the signed square root eps*M is 1 mod 4."""
     for n in range(1, 41):
         for mu in _distinct_odd_types(n):
-            data = cycle_type_data(mu)
-            assert (data.epsilon - data.M) % 4 == 0, mu
+            eps, M = _epsilon(mu), math.prod(mu)
+            assert eps == (-1) ** sum((p - 1) // 2 for p in mu), mu
+            assert (eps - M) % 4 == 0 and (eps * M) % 4 == 1, mu
 
 
 def test_bias_vectors_are_pinned_through_weight_32():

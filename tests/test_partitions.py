@@ -5,12 +5,10 @@ from hypothesis import given, strategies as st
 
 from altchar.characters import in_alternating
 from altchar.partitions import (
-    CycleTypeData,
     InvalidPartitionError,
     centralizer_order_sn,
     check_partition,
     conjugate,
-    cycle_type_data,
     dimension,
     factorize,
     format_partition,
@@ -164,18 +162,3 @@ def test_factorize_recomposes(n):
     assert math.prod(p**e for p, e in pairs) == n
     for p, _ in pairs:
         assert all(p % q for q in range(2, p)) and p >= 2
-
-
-@given(distinct_odd_types)
-def test_cycle_type_data_shape(mu):
-    data = cycle_type_data(mu)
-    assert isinstance(data, CycleTypeData)
-    assert data.M == math.prod(mu)
-    assert data.m == math.lcm(*mu)
-    # odd-exponent primes first, each group ascending
-    exps = [pd.e for pd in data.primes]
-    assert all(e % 2 == 1 for e in exps[: data.s])
-    assert all(e % 2 == 0 for e in exps[data.s :])
-    assert math.prod(pd.p**pd.e for pd in data.primes) == data.M
-    # the signed square root epsilon*M is always 1 mod 4
-    assert (data.epsilon * data.M) % 4 == 1
