@@ -41,7 +41,7 @@ from .global_classes import (
     global_brute_force,
     is_global_class,
 )
-from .acceptance import CriterionResult, bias_oracle, run_criteria, run_criterion, sn_multiplicity_oracle
+from .acceptance import CriterionResult, bias_failure, run_criteria, run_criterion, sn_multiplicity_failure
 
 __version__ = "0.1.0"
 

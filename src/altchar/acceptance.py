@@ -5,15 +5,14 @@ Each criterion recomputes a closed form against an independent route
 stated range, and carries a generous wall-clock budget.  The CLI selftest
 subcommand and the test suite both run these.
 
-The checklist's reference oracles live here, apart from the engines:
-sn_multiplicity_oracle, through permutation powers and a reduction modulo
-a cyclotomic polynomial, and bias_oracle, the split bias's defining sum
-evaluated numerically, which is the one floating-point check in the package.
+The checklist's two exact reference checks live here, apart from the
+engines: sn_multiplicity_failure and bias_failure each require a whole
+vector's polynomial sum a_i x**i to leave known residues modulo the
+cyclotomic factors of x**m - 1.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import time
 from dataclasses import dataclass
@@ -29,7 +28,8 @@ from .characters import (
     an_irreps,
     character_table_an,
     irrep_splits,
-    mn_character,
+    _beta_mask,
+    _mn,
 )
 from .classify import has_invariant_an, n_cycle_gap_set
 from .global_classes import global_brute_force, is_global_class, qualifies
@@ -41,13 +41,11 @@ from .multiplicity import (
     sn_multiplicity_vector,
 )
 from .errors import InternalCheckError
-from .numtheory import divisors, jacobi
+from .numtheory import _squarefree_split, divisors, jacobi
 from .partitions import (
     Partition,
     check_partition,
-    dimension,
     factorize,
-    has_distinct_odd_parts,
     partitions,
     phi,
     _distinct_odd,
@@ -61,7 +59,7 @@ class CriterionResult:
     name: str
     ok: bool
     seconds: float
-    limit: float
+    limit: int
     detail: str
 
     def line(self, timing: bool = False) -> str:
@@ -77,12 +75,14 @@ class CriterionResult:
 def _divmod_monic(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """Quotient and remainder, trailing zeros dropped, of integer polynomials by a monic den."""
     deg = len(den) - 1
+    terms = [(j - deg, dj) for j, dj in enumerate(den) if dj]
     rem = list(num)
     quotient = [0] * max(len(rem) - deg, 0)
     for k in range(len(rem) - 1, deg - 1, -1):
         c = quotient[k - deg] = rem[k]
-        for j, dj in enumerate(den):
-            rem[k - deg + j] -= c * dj
+        if c:
+            for j, dj in terms:
+                rem[k + j] -= c * dj
     while rem and rem[-1] == 0:
         rem.pop()
     return quotient, rem
@@ -105,58 +105,72 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _cyclotomic_remainder(coeffs: list[int], m: int) -> list[int]:
-    """sum of coeffs[k] * x**k modulo the minimal polynomial of zeta_m: empty iff it is 0 at zeta_m.
+def _cyclotomic_remainder(coeffs, m: int) -> list[int]:
+    """sum of coeffs[k] * x**k, folded through x**m = 1, modulo the minimal polynomial of zeta_m.
+
+    The remainder is empty iff the sum is 0 at zeta_m.
 
     >>> _cyclotomic_remainder([0, 1, 1, 1], 3)  # zeta + zeta**2 + 1 == 0
     []
     """
-    return _divmod_monic(coeffs, cyclotomic_polynomial(m))[1]
+    return _divmod_monic([sum(coeffs[k::m]) for k in range(m)], cyclotomic_polynomial(m))[1]
 
 
-def sn_multiplicity_oracle(lam: Partition, mu: Partition, i: int) -> int:
-    """One multiplicity through permutation powers and cyclotomic reduction.
+def _residue_failure(entries, m: int, target) -> str | None:
+    """Where sum entries[i] * x**i and target(e) differ modulo Phi_e for some e | m, or None.
 
-    Forms sum_j chi(w^j) x^(-i*j mod m) and reduces modulo the m-th
-    cyclotomic polynomial; the remainder must be the constant m * a_i.
+    x**m - 1 is the product of the Phi_e, so these residues fix the whole
+    vector; the sum at x = zeta_m**j is its residue at e = m / gcd(j, m).
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    m = order_of_type(mu)
-    w = perms.standard_rep(mu)
-    coeffs = [0] * m
-    current = perms.identity(sum(mu))
-    for j in range(m):
-        coeffs[(-i * j) % m] += mn_character(lam, perms.cycle_type(current))
-        current = perms.compose(w, current)
-    rem = _cyclotomic_remainder(coeffs, m) or [0]
-    if len(rem) > 1 or rem[0] % m:
-        raise InternalCheckError(f"cyclotomic remainder {rem} is not a multiple of {m} for {lam} at {mu}, i={i}")
-    return rem[0] // m
+    if len(entries) != m:
+        return f"{len(entries)} entries where m = {m}"
+    for e in divisors(m):
+        if _cyclotomic_remainder(entries, e) != _cyclotomic_remainder(target(e), e):
+            return f"wrong residue modulo the cyclotomic polynomial of order {e}"
+    return None
 
 
-_ORACLE_TOL = 1e-6  # how far the float sum may sit from an integer
+def sn_multiplicity_failure(lam: Partition, mu: Partition, entries) -> str | None:
+    """Where entries fail to be the m eigenvalue multiplicities of w_mu in the shape lam, or None.
+
+    They are right exactly when sum_i a_i * zeta_m**(i*j) = chi(w**j) for
+    every j.  chi is rational and w**j has the type of w**(m/e), read off
+    the permutation, so the residue modulo each Phi_e is chi(w**(m/e)).
+    """
+    lam, mu = check_partition(lam), check_partition(mu)
+    if sum(lam) != sum(mu):
+        raise ValueError("sizes differ")
+    m, w, beta = order_of_type(mu), perms.standard_rep(mu), _beta_mask(lam)
+    failure = _residue_failure(
+        entries, m, lambda e: [_mn(beta, perms.cycle_type(perms.perm_power(w, m // e)))]
+    )
+    return failure and f"{failure} at lam={lam}, mu={mu}"
 
 
-def bias_oracle(mu: Partition, i: int) -> int:
-    """The defining Fourier sum of the bias, evaluated numerically.
+def bias_failure(mu: Partition, values) -> str | None:
+    """Where values fail to be the bias d_0..d_{m-1} of the split type mu, or None.
 
-    d_i = (sqrt(eps*M)/m) * sum over l mod m of (l|M) * zeta_m^(-i*l),
-    with the principal branch sqrt(-x) = i*sqrt(x).
+    The defining sum d_i = (sqrt(eps*M)/m) * sum over l mod m of
+    (l|M) * zeta_m**(-i*l), on the principal branch, gives
+    sum_i d_i * zeta_m**(i*j) = (j|M) * sqrt(eps*M): 0 unless j is a unit
+    mod m.  Write M = root**2 * core, core squarefree (the product of the
+    odd-exponent primes of M, a divisor of m).  No eps is needed: eps = M
+    mod 4 and root is odd, so eps * core = core* = (-1)**((core-1)/2) * core,
+    and by the sign of Gauss's sum sqrt(eps*M) = root * G(core), where
+    G(core) = sum over a mod core of (a|core) * zeta_core**a.  So the
+    residue is 0 modulo Phi_e for e < m, and root * G(core) with zeta_core
+    = x**(m/core) modulo Phi_m.
     """
     mu = check_partition(mu)
     if not _distinct_odd(mu):
-        raise ValueError("bias oracle needs distinct odd parts")
-    M, m = math.prod(mu), order_of_type(mu)
-    eps = (-1) ** sum((p - 1) // 2 for p in mu)
-    total = 0j
-    for l in range(m):
-        total += jacobi(l, M) * cmath.exp(-2j * math.pi * i * l / m)
-    z = cmath.sqrt(complex(eps * M)) * total / m
-    nearest = round(z.real)
-    if abs(z.imag) > _ORACLE_TOL or abs(z.real - nearest) > _ORACLE_TOL:
-        raise InternalCheckError(f"bias oracle did not land on an integer: {z}")
-    return nearest
+        raise ValueError("the bias needs distinct odd parts")
+    m = order_of_type(mu)
+    root, core = _squarefree_split(math.prod(mu))
+    gauss = [0] * (m + 1)
+    for a in range(1, core + 1):
+        gauss[a * (m // core)] = root * jacobi(a, core)
+    failure = _residue_failure(values, m, lambda e: gauss if e == m else [])
+    return failure and f"{failure} for the bias at mu={mu}"
 
 
 def _criterion_1() -> tuple[bool, str]:
@@ -174,45 +188,37 @@ def _criterion_1() -> tuple[bool, str]:
 
 
 def _criterion_2() -> tuple[bool, str]:
-    """Closed-form bias equals the defining sum everywhere through weight 25."""
+    """Closed-form bias equals the defining sum everywhere through weight 31."""
     checked = 0
-    for n in range(1, 26):
+    for n in range(1, 32):
         for mu in partitions(n):
-            if not has_distinct_odd_parts(mu):
+            if not _distinct_odd(mu):
                 continue
-            m = order_of_type(mu)
-            M = math.prod(mu)
+            values = [r.value for r in bias_vector(mu)]
+            if failure := bias_failure(mu, values):
+                return False, failure
+            m, M = len(values), math.prod(mu)
+            if n > 1 and any(d * d >= M for d in values):
+                return False, f"|d| not < sqrt(M) at mu={mu}"
             square_M = math.isqrt(M) ** 2 == M
             squarefree_m = all(e == 1 for _, e in factorize(m))
-            values = [r.value for r in bias_vector(mu)]
-            for i, d in enumerate(values):
-                if d != bias_oracle(mu, i):
-                    return False, f"bias mismatch at mu={mu}, i={i}"
-                if n > 1 and d * d >= M:
-                    return False, f"|d| not < sqrt(M) at mu={mu}, i={i}"
-                checked += 1
             if ((values[0] != 0) != square_M) or ((values[1 % m] != 0) != squarefree_m):
                 return False, f"corollary characterization fails at mu={mu}"
-    return True, f"{checked} (mu, i) pairs, weights <= 25"
+            checked += m
+    return True, f"{checked} (mu, i) pairs, weights <= 31"
 
 
 def _criterion_3() -> tuple[bool, str]:
-    """Fourier engine vs cyclotomic oracle, all shapes and types through n=9."""
+    """Fourier engine vs cyclotomic oracle, all shapes and types through n=11."""
     checked = 0
-    for n in range(1, 10):
+    for n in range(1, 12):
         for mu in partitions(n):
-            m = order_of_type(mu)
             for lam in partitions(n):
                 entries = sn_multiplicity_vector(lam, mu).entries
-                for i in range(m):
-                    if entries[i] != sn_multiplicity_oracle(lam, mu, i):
-                        return False, f"oracle mismatch at lam={lam}, mu={mu}, i={i}"
-                if sum(entries) != dimension(lam):
-                    return False, f"entries do not sum to the dimension at lam={lam}, mu={mu}"
-                if _cyclotomic_remainder([entries[0] - mn_character(lam, mu), *entries[1:]], m):
-                    return False, f"character reconstruction off at lam={lam}, mu={mu}"
-                checked += m
-    return True, f"{checked} multiplicities cross-checked, n <= 9"
+                if failure := sn_multiplicity_failure(lam, mu, entries):
+                    return False, failure
+                checked += len(entries)
+    return True, f"{checked} multiplicities cross-checked, n <= 11"
 
 
 def _criterion_4() -> tuple[bool, str]:
@@ -248,7 +254,7 @@ def _criterion_6() -> tuple[bool, str]:
     checked = 0
     for n in range(1, 11):
         for mu in partitions(n):
-            if not has_distinct_odd_parts(mu):
+            if not _distinct_odd(mu):
                 continue
             m = order_of_type(mu)
             w = perms.standard_rep(mu)
@@ -361,16 +367,16 @@ def _criterion_9() -> tuple[bool, str]:
     return True, f"{checked} halved multiplicities, n <= 12"
 
 
-_CRITERIA: dict[int, tuple[str, float, object]] = {
-    1: ("worked bias example", 1.0, _criterion_1),
-    2: ("bias closed form vs defining sum", 120.0, _criterion_2),
-    3: ("multiplicity engine vs cyclotomic oracle", 300.0, _criterion_3),
-    4: ("n-cycle gap list", 120.0, _criterion_4),
-    5: ("invariant-vector classification", 600.0, _criterion_5),
-    6: ("power conjugacy verdicts", 60.0, _criterion_6),
-    7: ("global classes vs brute force", 600.0, _criterion_7),
-    8: ("character table orthogonality", 120.0, _criterion_8),
-    9: ("split-pair halving", 300.0, _criterion_9),
+_CRITERIA: dict[int, tuple[str, int, object]] = {
+    1: ("worked bias example", 1, _criterion_1),
+    2: ("bias closed form vs defining sum", 120, _criterion_2),
+    3: ("multiplicity engine vs cyclotomic oracle", 300, _criterion_3),
+    4: ("n-cycle gap list", 120, _criterion_4),
+    5: ("invariant-vector classification", 600, _criterion_5),
+    6: ("power conjugacy verdicts", 60, _criterion_6),
+    7: ("global classes vs brute force", 600, _criterion_7),
+    8: ("character table orthogonality", 120, _criterion_8),
+    9: ("split-pair halving", 300, _criterion_9),
 }
 
 ALL_CRITERIA = tuple(sorted(_CRITERIA))

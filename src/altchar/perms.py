@@ -1,13 +1,12 @@
 """Permutations of {0, ..., n-1} in one-line word form.
 
-A permutation is a tuple ``w`` where ``w[x]`` is the image of ``x``.  This
-format composes with plain indexing, so the helpers below stay tuple-in,
-tuple-out and need no classes.
+A permutation is a tuple ``w`` where ``w[x]`` is the image of ``x``, so
+the helpers below stay tuple-in, tuple-out and need no classes.
 
 Three production paths use explicit permutations: the explicit centralizer
-route of global_classes (cycles and sign), acceptance.sn_multiplicity_oracle,
-and acceptance criterion 6 (power conjugacy by conjugator parity), the one
-production caller of conjugator.
+route of global_classes (cycles and sign), acceptance.sn_multiplicity_failure
+(the cycle type of each power w**(m/e)), and acceptance criterion 6 (power
+conjugacy by conjugator parity), the one production caller of conjugator.
 """
 
 from __future__ import annotations
@@ -22,21 +21,6 @@ def check_perm(images) -> Perm:
     if sorted(w) != list(range(len(w))):
         raise ValueError(f"not a permutation word: {w!r}")
     return w
-
-
-def identity(n: int) -> Perm:
-    return tuple(range(n))
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """Permutation applying b first, then a.
-
-    >>> compose((1, 0, 2), (0, 2, 1))
-    (1, 2, 0)
-    """
-    if len(a) != len(b):
-        raise ValueError("size mismatch")
-    return tuple(a[b[x]] for x in range(len(b)))
 
 
 def cycles(a: Perm) -> list[tuple[int, ...]]:

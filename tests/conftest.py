@@ -42,6 +42,18 @@ def small_perms(draw, max_n: int = 8):
     return tuple(draw(st.permutations(range(n))))
 
 
+def identity(n: int) -> tuple[int, ...]:
+    """The identity permutation word on n points."""
+    return tuple(range(n))
+
+
+def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation word applying b first, then a."""
+    if len(a) != len(b):
+        raise ValueError("size mismatch")
+    return tuple(a[x] for x in b)
+
+
 def inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     """The inverse permutation word of a."""
     inv = [0] * len(a)

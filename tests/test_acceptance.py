@@ -1,5 +1,5 @@
 """The nine acceptance criteria, one test (and one printed verdict line) each,
-and the exact checks of criteria 3 and 8 on corrupted inputs."""
+and the exact checks of criteria 2, 3 and 8 on corrupted inputs."""
 
 import math
 from dataclasses import replace
@@ -11,12 +11,14 @@ from altchar.acceptance import (
     _cyclotomic_remainder,
     _inner_product,
     _orthogonality_failure,
+    bias_failure,
     run_criterion,
+    sn_multiplicity_failure,
 )
 from altchar.characters import QuadValue, character_table_an, mn_character
 from altchar.errors import InternalCheckError
-from altchar.multiplicity import order_of_type, sn_multiplicity_vector
-from altchar.partitions import partitions, phi
+from altchar.multiplicity import bias_vector, order_of_type, sn_multiplicity_vector
+from altchar.partitions import has_distinct_odd_parts, partitions, phi
 
 
 @pytest.mark.parametrize("number", ALL_CRITERIA)
@@ -80,11 +82,7 @@ def test_inner_product_keeps_each_root_apart():
         _inner_product([1], [golden], [eisenstein])
 
 
-# --- criterion 3: exact character rebuild -------------------------------------
-
-
-def _rebuild_remainder(entries, m, chi):
-    return _cyclotomic_remainder([entries[0] - chi, *entries[1:]], m)
+# --- criterion 3: the cyclotomic oracle ----------------------------------------
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -96,14 +94,51 @@ def test_cyclotomic_rebuild_rejects_a_moved_unit(n):
         m = order_of_type(mu)
         for lam in partitions(n):
             entries = sn_multiplicity_vector(lam, mu).entries
-            chi = mn_character(lam, mu)
-            assert _rebuild_remainder(entries, m, chi) == []
+            assert sn_multiplicity_failure(lam, mu, entries) is None
             i = next(i for i, a in enumerate(entries) if a)
             for j in range(m):
                 if math.gcd(j, m) != math.gcd(i, m):
                     bad = list(entries)
                     bad[i] -= 1
                     bad[j] += 1
-                    assert _rebuild_remainder(bad, m, chi) != [], (lam, mu, i, j)
+                    assert sn_multiplicity_failure(lam, mu, bad) is not None, (lam, mu, i, j)
                     moved += 1
     assert moved
+
+
+def test_cyclotomic_oracle_checks_every_divisor():
+    """Adding the coefficients of Phi_1 * Phi_6 = x^3 - 2x^2 + 2x - 1 keeps the
+    sum and the value at zeta_6, which is all a rebuild of chi(w) checks; the
+    value at -1 moves by -6."""
+    lam = mu = (3, 2, 1)
+    entries = sn_multiplicity_vector(lam, mu).entries
+    assert entries == (2, 3, 3, 2, 3, 3)
+    bad = [a + b for a, b in zip(entries, [-1, 2, -2, 1, 0, 0])]
+    chi = mn_character(lam, mu)
+    assert sum(bad) == sum(entries)
+    assert _cyclotomic_remainder([bad[0] - chi, *bad[1:]], 6) == []
+    assert "order 2" in sn_multiplicity_failure(lam, mu, bad)
+
+
+def test_cyclotomic_oracle_rejects_a_wrong_length():
+    assert sn_multiplicity_failure((2, 1), (3,), [1, 0]) is not None
+    assert bias_failure((3,), [0, 1]) is not None
+
+
+# --- criterion 2: the exact bias check ------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_bias_check_rejects_a_flipped_sign(n):
+    """The engine's vector passes; with one nonzero entry negated, or all of
+    them (the wrong anchor, or the other branch of the square root), it fails."""
+    for mu in partitions(n):
+        if not has_distinct_odd_parts(mu):
+            continue
+        values = [r.value for r in bias_vector(mu)]
+        assert bias_failure(mu, values) is None
+        for i, d in enumerate(values):
+            if d:
+                flipped = [-d if k == i else v for k, v in enumerate(values)]
+                assert bias_failure(mu, flipped) is not None, (mu, i)
+        assert bias_failure(mu, [-d for d in values]) is not None, mu

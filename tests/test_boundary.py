@@ -24,10 +24,10 @@ ENTRY_POINTS = {
     "mn_character(mu)": lambda mu: altchar.mn_character((2,), mu),
     "sn_multiplicity_vector(lam)": lambda mu: altchar.sn_multiplicity_vector(mu, (2,)),
     "sn_multiplicity_vector(mu)": lambda mu: altchar.sn_multiplicity_vector((2,), mu),
-    "sn_multiplicity_oracle(lam)": lambda mu: altchar.sn_multiplicity_oracle(mu, (2,), 1),
-    "sn_multiplicity_oracle(mu)": lambda mu: altchar.sn_multiplicity_oracle((2,), mu, 1),
+    "sn_multiplicity_failure(lam)": lambda mu: altchar.sn_multiplicity_failure(mu, (2,), [1, 0]),
+    "sn_multiplicity_failure(mu)": lambda mu: altchar.sn_multiplicity_failure((2,), mu, [1, 0]),
     "bias_vector": altchar.bias_vector,
-    "bias_oracle": lambda mu: altchar.bias_oracle(mu, 1),
+    "bias_failure": lambda mu: altchar.bias_failure(mu, [1]),
     "power_conjugacy": lambda mu: altchar.power_conjugacy(mu, 1),
     "has_invariant_sn(lam)": lambda mu: altchar.has_invariant_sn(mu, (2,)),
     "has_invariant_sn(mu)": lambda mu: altchar.has_invariant_sn((2,), mu),
@@ -81,20 +81,23 @@ def test_a_table_checks_each_label_once(checks, n):
     assert checks[0] == len(table.irreps) + len(table.classes)
 
 
-ONE_PARTITION = {
-    "bias_vector": lambda: altchar.bias_vector((15, 9, 3)),
-    "power_conjugacy": lambda: altchar.power_conjugacy((15, 9, 3), 2),
-    "phi": lambda: altchar.phi((5, 3)),
-    "has_distinct_odd_parts": lambda: altchar.has_distinct_odd_parts((5, 3)),
-    "dimension": lambda: altchar.dimension((4, 2, 1)),
-    "AnIrrep": lambda: altchar.AnIrrep((4, 2, 1)).dim(),
-    "AnIrrep(tagged)": lambda: altchar.AnIrrep((3, 3, 2), "+").dim(),
-    "AnClass": lambda: altchar.AnClass((3, 1, 1)).size(),
-    "AnClass(tagged)": lambda: altchar.AnClass((5, 3), "+").size(),
+ONE_PARTITION = {  # name: (partitions taken, call)
+    "bias_vector": (1, lambda: altchar.bias_vector((15, 9, 3))),
+    "bias_failure": (1, lambda: altchar.bias_failure((5, 3), [0] * 15)),
+    "sn_multiplicity_failure": (2, lambda: altchar.sn_multiplicity_failure((3, 2, 1), (3, 2, 1), [2, 3, 3, 2, 3, 3])),
+    "power_conjugacy": (1, lambda: altchar.power_conjugacy((15, 9, 3), 2)),
+    "phi": (1, lambda: altchar.phi((5, 3))),
+    "has_distinct_odd_parts": (1, lambda: altchar.has_distinct_odd_parts((5, 3))),
+    "dimension": (1, lambda: altchar.dimension((4, 2, 1))),
+    "AnIrrep": (1, lambda: altchar.AnIrrep((4, 2, 1)).dim()),
+    "AnIrrep(tagged)": (1, lambda: altchar.AnIrrep((3, 3, 2), "+").dim()),
+    "AnClass": (1, lambda: altchar.AnClass((3, 1, 1)).size()),
+    "AnClass(tagged)": (1, lambda: altchar.AnClass((5, 3), "+").size()),
 }
 
 
 @pytest.mark.parametrize("name", ONE_PARTITION)
 def test_an_entry_point_checks_its_partition_once(checks, name):
-    ONE_PARTITION[name]()
-    assert checks[0] == 1
+    taken, call = ONE_PARTITION[name]
+    call()
+    assert checks[0] == taken

@@ -76,6 +76,25 @@ def test_timing_flag_keeps_the_schema():
     assert record["timing_seconds"] >= 0
 
 
+def test_selftest_timing_adds_seconds_to_each_check():
+    code, out, _ = run_cli("--format", "json", "--timing", "selftest", "--criteria", "1")
+    assert code == 0
+    record = json.loads(out)
+    validate(record, SCHEMA)
+    assert [sorted(c) for c in record["results"]["checks"]] == [["criterion", "detail", "name", "ok", "seconds"]]
+    assert record["results"]["checks"][0]["seconds"] >= 0
+
+
+def test_invariant_sn_names_its_rule():
+    argv = ["invariant", "--group", "sn", "--irrep", "2,2", "--class", "3,1"]
+    assert run_cli(*argv) == (0, "2,2 has no invariant vector at class 3,1  [sn:(2,2)-at-(3,1)]\n", "")
+    code, out, _ = run_cli("--format", "json", *argv)
+    assert code == 0
+    record = json.loads(out)
+    validate(record, SCHEMA)
+    assert record["results"] == {"has_invariant": False, "rule": "sn:(2,2)-at-(3,1)"}
+
+
 def _csv_rows(text: str):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
@@ -243,6 +262,8 @@ def test_irrational_inner_product_exits_1(monkeypatch):
         pytest.param(["invariant", "--group", "an", "--irrep", "2,1", "--class", ""], id="empty-class"),
         pytest.param(["unisingular", "--group", "an", "--irrep", ""], id="empty-unisingular"),
         pytest.param(["unisingular", "--group", "an", "--irrep", ":+"], id="empty-tagged"),
+        pytest.param(["selftest", "--criteria", "1,x"], id="bad-criteria-list"),
+        pytest.param(["selftest", "--criteria", "1,12"], id="unknown-criterion"),
     ],
 )
 def test_operand_errors_exit_2(argv):

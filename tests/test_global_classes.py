@@ -33,7 +33,7 @@ from altchar.global_classes import (
     qualifies,
 )
 from altchar.partitions import centralizer_order_sn, partitions
-from conftest import an_character, inverse
+from conftest import an_character, compose, inverse
 
 
 def test_qualifies():
@@ -63,7 +63,7 @@ def test_centralizer_enumeration(mu):
     assert len(set(elements)) == len(elements)
     w = perms.standard_rep(mu)
     for g in elements:
-        assert perms.compose(g, w) == perms.compose(w, g)
+        assert compose(g, w) == compose(w, g)
 
 
 @pytest.mark.parametrize("mu", [(3,), (5, 3), (3, 3), (2, 2, 1), (4, 2), (6, 3, 1)])
@@ -102,7 +102,7 @@ def test_split_class_of():
     w = perms.standard_rep((5, 3))
     assert split_class_of(w) == "+"
     t = (1, 0) + tuple(range(2, 8))  # conjugate by a transposition
-    swapped = perms.compose(perms.compose(t, w), inverse(t))
+    swapped = compose(compose(t, w), inverse(t))
     assert split_class_of(swapped) == "-"
     assert split_class_of(perms.perm_power(w, 2)) == "+"  # jacobi(2,15)=1
 

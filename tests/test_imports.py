@@ -1,7 +1,6 @@
 """Every name a library module imports is used in that module, every
-public function and method has a caller, no module but the acceptance
-checklist touches floating point, and the engines never call a checked
-partition entry point.
+public function and method has a caller, no module touches floating
+point, and the engines never call a checked partition entry point.
 
 The package's __init__ imports names to re-export them and is left out of
 the unused-import scan.
@@ -69,11 +68,9 @@ def _float_uses(source: str) -> list[str]:
     return [f"{what} (line {line})" for line, what in sorted(found)]
 
 
-@pytest.mark.parametrize(
-    "path", sorted(p for p in PACKAGE.glob("*.py") if p.stem != "acceptance"), ids=lambda p: p.stem
-)
-def test_no_floats_outside_the_checklist(path):
-    """The engines are exact; the one float check, bias_oracle, lives in acceptance."""
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_floats_in_the_package(path):
+    """The engines and the acceptance checklist's oracles are all exact."""
     assert _float_uses(path.read_text()) == []
 
 

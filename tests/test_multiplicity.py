@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from altchar import perms
-from altchar.acceptance import bias_oracle, cyclotomic_polynomial, sn_multiplicity_oracle
+from altchar.acceptance import bias_failure, cyclotomic_polynomial, sn_multiplicity_failure
 from altchar.characters import AnClass, AnIrrep, an_classes, an_irreps, irrep_splits
 from altchar.multiplicity import (
     _power_type,
@@ -77,14 +77,14 @@ def test_multiplicity_depends_only_on_the_gcd(pair, data):
     """Galois conjugate eigenvalues appear equally often, by the cyclotomic oracle.
 
     The engine broadcasts a_{gcd(i, m)} by construction, so the oracle,
-    which reduces each index on its own, is what tests the premise.
+    whose residues fix the whole vector, is what tests the premise: it
+    accepts the vector with its indices multiplied by any unit k.
     """
     lam, mu = pair
     m = order_of_type(mu)
-    i = data.draw(st.integers(min_value=0, max_value=m - 1))
-    j = data.draw(st.integers(min_value=0, max_value=m - 1))
-    if math.gcd(i, m) == math.gcd(j, m):
-        assert sn_multiplicity_oracle(lam, mu, i) == sn_multiplicity_oracle(lam, mu, j)
+    k = data.draw(st.sampled_from([k for k in range(1, m + 1) if math.gcd(k, m) == 1]))
+    entries = sn_multiplicity_vector(lam, mu).entries
+    assert sn_multiplicity_failure(lam, mu, [entries[k * i % m] for i in range(m)]) is None
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -94,8 +94,7 @@ def test_engine_equals_oracle(n):
         for lam in partitions(n):
             vec = sn_multiplicity_vector(lam, mu)
             assert vec.m == len(vec.entries) == m
-            for i in range(m):
-                assert vec.entries[i] == sn_multiplicity_oracle(lam, mu, i)
+            assert sn_multiplicity_failure(lam, mu, vec.entries) is None
 
 
 def test_trivial_shape_sees_only_eigenvalue_one():
@@ -132,9 +131,10 @@ def test_bias_equals_the_defining_sum(n):
     for mu in partitions(n):
         if not has_distinct_odd_parts(mu):
             continue
-        for i, r in enumerate(bias_vector(mu)):
+        results = bias_vector(mu)
+        assert bias_failure(mu, [r.value for r in results]) is None
+        for i, r in enumerate(results):
             assert r.i == i
-            assert r.value == bias_oracle(mu, i)
             assert abs(r.value) == r.abs_formula
             assert all(c.ok for c in r.conditions) == (r.value != 0)
 
@@ -185,7 +185,7 @@ def test_sign_epsilon_is_the_part_product_mod_4():
 
 
 def test_bias_vectors_are_pinned_through_weight_32():
-    """Every bias vector with n <= 32, hashed; the float oracle stops at n = 25."""
+    """Every bias vector with n <= 32, hashed; criterion 2's exact check stops at n = 31."""
     rows = [
         [
             format_partition(mu),
@@ -233,23 +233,26 @@ def test_own_type_splits_by_the_bias():
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_split_vectors_equal_the_single_index_engine(n):
-    """Split halves against references taken one index at a time.
+    """Split halves against the exact references of their sum and difference.
 
-    The halves sum to the symmetric-group vector.  At a class of their own
-    hook type they differ by the float oracle bias_oracle(mu, i), with the
-    sign of the class tag; at every other class they agree.
+    The halves sum to the symmetric-group vector, which the cyclotomic
+    oracle accepts.  At a class of their own hook type their difference,
+    times the sign of the class tag, is the vector bias_failure accepts;
+    at every other class they agree.
     """
     for lam in partitions(n):
         if not irrep_splits(lam):
             continue
         for cls in an_classes(n):
             plus, minus = (an_multiplicity_vector(AnIrrep(lam, t), cls).entries for t in "+-")
-            whole = sn_multiplicity_vector(lam, cls.mu).entries
-            assert tuple(p + q for p, q in zip(plus, minus)) == whole
-            own_type = cls.tag and phi(cls.mu) == lam
+            whole = [p + q for p, q in zip(plus, minus)]
+            assert sn_multiplicity_failure(lam, cls.mu, whole) is None
             sign = 1 if cls.tag == "+" else -1
-            for i, (p, q) in enumerate(zip(plus, minus)):
-                assert p - q == (sign * bias_oracle(cls.mu, i) if own_type else 0)
+            diff = [sign * (p - q) for p, q in zip(plus, minus)]
+            if cls.tag and phi(cls.mu) == lam:
+                assert bias_failure(cls.mu, diff) is None
+            else:
+                assert not any(diff)
 
 
 def test_split_pair_shares_counts_away_from_its_type():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from altchar import perms
 from altchar.characters import in_alternating
 from altchar.partitions import partitions
-from conftest import inverse, multiplication_perm, small_perms, small_partitions
+from conftest import compose, identity, inverse, multiplication_perm, small_perms, small_partitions
 
 
 @given(small_perms(), st.data())
@@ -14,14 +14,14 @@ def test_compose_associative(a, data):
     n = len(a)
     b = tuple(data.draw(st.permutations(range(n))))
     c = tuple(data.draw(st.permutations(range(n))))
-    assert perms.compose(perms.compose(a, b), c) == perms.compose(a, perms.compose(b, c))
+    assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
 
 @given(small_perms())
 def test_inverse(a):
-    e = perms.identity(len(a))
-    assert perms.compose(a, inverse(a)) == e
-    assert perms.compose(inverse(a), a) == e
+    e = identity(len(a))
+    assert compose(a, inverse(a)) == e
+    assert compose(inverse(a), a) == e
 
 
 @given(small_partitions)
@@ -37,7 +37,7 @@ def test_cycles_partition_the_points():
 @given(small_perms(), st.data())
 def test_sign_is_multiplicative(a, data):
     b = tuple(data.draw(st.permutations(range(len(a)))))
-    assert perms.sign(perms.compose(a, b)) == perms.sign(a) * perms.sign(b)
+    assert perms.sign(compose(a, b)) == perms.sign(a) * perms.sign(b)
 
 
 @given(small_partitions)
@@ -47,19 +47,19 @@ def test_sign_matches_type_parity(mu):
 
 @given(small_perms(), st.integers(min_value=0, max_value=20))
 def test_perm_power_matches_iteration(a, k):
-    slow = perms.identity(len(a))
+    slow = identity(len(a))
     for _ in range(k):
-        slow = perms.compose(slow, a)
+        slow = compose(slow, a)
     assert perms.perm_power(a, k) == slow
 
 
 @given(small_perms(), st.data())
 def test_conjugator_conjugates(a, data):
     rho = tuple(data.draw(st.permutations(range(len(a)))))
-    b = perms.compose(perms.compose(rho, a), inverse(rho))
+    b = compose(compose(rho, a), inverse(rho))
     found = perms.conjugator(a, b)
     assert found is not None
-    assert perms.compose(perms.compose(found, a), inverse(found)) == b
+    assert compose(compose(found, a), inverse(found)) == b
 
 
 def test_conjugator_rejects_different_types():
@@ -72,7 +72,7 @@ def test_multiplication_perm_is_a_homomorphism():
             for j in range(1, m):
                 if any(math.gcd(x, m) != 1 for x in (i, j)):
                     continue
-                left = perms.compose(multiplication_perm(i, m), multiplication_perm(j, m))
+                left = compose(multiplication_perm(i, m), multiplication_perm(j, m))
                 assert left == multiplication_perm(i * j % m, m)
 
 
@@ -83,4 +83,4 @@ def test_power_order(n):
         m = 1
         for part in mu:
             m = m * part // math.gcd(m, part)
-        assert perms.perm_power(w, m) == perms.identity(n)
+        assert perms.perm_power(w, m) == identity(n)
