@@ -41,13 +41,14 @@ from .multiplicity import (
     sn_multiplicity_vector,
 )
 from .errors import InternalCheckError
-from .numtheory import _squarefree_split, divisors, jacobi
+from .numtheory import divisors, jacobi
 from .partitions import (
     Partition,
     check_partition,
     factorize,
     partitions,
     phi,
+    _dimension,
     _distinct_odd,
 )
 from . import perms
@@ -164,8 +165,9 @@ def bias_failure(mu: Partition, values) -> str | None:
     mu = check_partition(mu)
     if not _distinct_odd(mu):
         raise ValueError("the bias needs distinct odd parts")
-    m = order_of_type(mu)
-    root, core = _squarefree_split(math.prod(mu))
+    m, factors = order_of_type(mu), factorize(math.prod(mu))
+    root = math.prod(p ** (e // 2) for p, e in factors)
+    core = math.prod(p for p, e in factors if e % 2)
     gauss = [0] * (m + 1)
     for a in range(1, core + 1):
         gauss[a * (m // core)] = root * jacobi(a, core)
@@ -209,7 +211,7 @@ def _criterion_2() -> tuple[bool, str]:
 
 
 def _criterion_3() -> tuple[bool, str]:
-    """Fourier engine vs cyclotomic oracle, all shapes and types through n=11."""
+    """Fourier engine vs cyclotomic oracle and hook lengths, all shapes and types through n=11."""
     checked = 0
     for n in range(1, 12):
         for mu in partitions(n):
@@ -217,6 +219,8 @@ def _criterion_3() -> tuple[bool, str]:
                 entries = sn_multiplicity_vector(lam, mu).entries
                 if failure := sn_multiplicity_failure(lam, mu, entries):
                     return False, failure
+                if sum(entries) != _dimension(lam):
+                    return False, f"entries do not sum to the dimension at lam={lam}, mu={mu}"
                 checked += len(entries)
     return True, f"{checked} multiplicities cross-checked, n <= 11"
 

@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from altchar.acceptance import sn_multiplicity_failure
-from altchar.characters import TAG_MINUS, TAG_NONE, TAG_PLUS, AnClass, an_classes, an_irreps
+from altchar import perms
+from altchar.characters import TAG_MINUS, TAG_NONE, TAG_PLUS, AnClass, an_classes, an_irreps, mn_character
 from altchar.classify import (
     has_invariant_an,
     has_invariant_sn,
@@ -128,10 +128,15 @@ def an_multiplicities_from_characters(rep, cls) -> list[int]:
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_full_minimal_polynomial_sn(n):
-    """The vector that says whether every m-th root of unity occurs is the one the cyclotomic oracle accepts."""
-    for lam in partitions(n):
-        for mu in partitions(n):
-            assert sn_multiplicity_failure(lam, mu, sn_multiplicity_vector(lam, mu).entries) is None
+    """The m-th roots of unity that occur, so whether all do, match a numerical transform of chi(w**j)."""
+    for mu in partitions(n):
+        m, w = order_of_type(mu), perms.standard_rep(mu)
+        types = [perms.cycle_type(perms.perm_power(w, j)) for j in range(m)]
+        zeta = [cmath.exp(-2j * math.pi * k / m) for k in range(m)]
+        for lam in partitions(n):
+            chi = [mn_character(lam, t) for t in types]
+            occurs = [sum(c * zeta[i * j % m] for j, c in enumerate(chi)).real / m > 0.5 for i in range(m)]
+            assert [a > 0 for a in sn_multiplicity_vector(lam, mu).entries] == occurs, (lam, mu)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -87,7 +87,7 @@ def test_multiplicity_depends_only_on_the_gcd(pair, data):
     assert sn_multiplicity_failure(lam, mu, [entries[k * i % m] for i in range(m)]) is None
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_engine_equals_oracle(n):
     for mu in partitions(n):
         m = order_of_type(mu)

@@ -12,6 +12,7 @@ from altchar.numtheory import (
     moebius,
     p_adic_split,
     ramanujan,
+    _squarefree_split,
 )
 from conftest import multiplication_perm
 
@@ -90,6 +91,14 @@ def test_ramanujan_edge_values():
 
 
 # --- p-adic bookkeeping -----------------------------------------------------
+
+
+def test_squarefree_split_by_trial_squares():
+    """root**2 * core == n with no square above 1 dividing core, which fixes both."""
+    for n in range(1, 3000):
+        root, core = _squarefree_split(n)
+        assert root * root * core == n
+        assert all(core % (d * d) for d in range(2, math.isqrt(core) + 1)), n
 
 
 @given(st.integers(min_value=-200, max_value=200))

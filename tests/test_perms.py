@@ -9,19 +9,15 @@ from altchar.partitions import partitions
 from conftest import compose, identity, inverse, multiplication_perm, small_perms, small_partitions
 
 
-@given(small_perms(), st.data())
-def test_compose_associative(a, data):
-    n = len(a)
-    b = tuple(data.draw(st.permutations(range(n))))
-    c = tuple(data.draw(st.permutations(range(n))))
-    assert compose(compose(a, b), c) == compose(a, compose(b, c))
+@given(small_perms(), st.integers(min_value=-20, max_value=20), st.integers(min_value=-20, max_value=20))
+def test_powers_add_their_exponents(a, j, k):
+    assert perms.perm_power(a, j + k) == compose(perms.perm_power(a, j), perms.perm_power(a, k))
 
 
 @given(small_perms())
-def test_inverse(a):
-    e = identity(len(a))
-    assert compose(a, inverse(a)) == e
-    assert compose(inverse(a), a) == e
+def test_minus_first_power_is_the_inverse(a):
+    assert perms.perm_power(a, -1) == inverse(a)
+    assert compose(a, inverse(a)) == identity(len(a)) == compose(inverse(a), a)
 
 
 @given(small_partitions)
