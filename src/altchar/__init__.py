@@ -29,9 +29,8 @@ from .multiplicity import (
     sn_multiplicity_vector,
 )
 from .classify import (
-    has_invariant_an,
-    has_invariant_sn,
-    n_cycle_gap_set,
+    invariant_failure_an,
+    invariant_failure_sn,
     n_cycle_gaps,
     unisingular_an,
     unisingular_sn,

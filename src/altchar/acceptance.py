@@ -31,7 +31,7 @@ from .characters import (
     _beta_mask,
     _mn,
 )
-from .classify import has_invariant_an, n_cycle_gap_set
+from .classify import invariant_failure_an, n_cycle_gaps
 from .global_classes import global_brute_force, is_global_class, qualifies
 from .multiplicity import (
     an_multiplicity_vector,
@@ -131,6 +131,13 @@ def _residue_failure(entries, m: int, target) -> str | None:
     return None
 
 
+@cache
+def _power_types(mu: Partition) -> dict[int, Partition]:
+    """The type of w**(m/e) for each divisor e of m, read off the permutation w_mu; mu is trusted."""
+    m, w = order_of_type(mu), perms.standard_rep(mu)
+    return {e: perms.cycle_type(perms.perm_power(w, m // e)) for e in divisors(m)}
+
+
 def sn_multiplicity_failure(lam: Partition, mu: Partition, entries) -> str | None:
     """Where entries fail to be the m eigenvalue multiplicities of w_mu in the shape lam, or None.
 
@@ -141,10 +148,8 @@ def sn_multiplicity_failure(lam: Partition, mu: Partition, entries) -> str | Non
     lam, mu = check_partition(lam), check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("sizes differ")
-    m, w, beta = order_of_type(mu), perms.standard_rep(mu), _beta_mask(lam)
-    failure = _residue_failure(
-        entries, m, lambda e: [_mn(beta, perms.cycle_type(perms.perm_power(w, m // e)))]
-    )
+    beta, types = _beta_mask(lam), _power_types(mu)
+    failure = _residue_failure(entries, order_of_type(mu), lambda e: [_mn(beta, types[e])])
     return failure and f"{failure} at lam={lam}, mu={mu}"
 
 
@@ -234,9 +239,9 @@ def _criterion_4() -> tuple[bool, str]:
             for i, a in enumerate(sn_multiplicity_vector(lam, (n,)).entries)
             if a == 0
         }
-        if computed != n_cycle_gap_set(n):
-            diff = computed ^ n_cycle_gap_set(n)
-            return False, f"gap set differs at n={n}: {sorted(diff)[:4]}"
+        listed = {(g.lam, g.i) for g in n_cycle_gaps(n)}
+        if computed != listed:
+            return False, f"gap set differs at n={n}: {sorted(computed ^ listed)[:4]}"
     return True, "zero sets match for 2 <= n <= 12"
 
 
@@ -247,7 +252,7 @@ def _criterion_5() -> tuple[bool, str]:
         for rep in an_irreps(n):
             for cls in an_classes(n):
                 engine_zero = an_multiplicity_vector(rep, cls).entries[0] == 0
-                if engine_zero == has_invariant_an(rep, cls):
+                if engine_zero == (invariant_failure_an(rep, cls) is None):
                     return False, f"mismatch at {rep.label()} / {cls.label()} (n={n})"
                 pairs += 1
     return True, f"{pairs} (irrep, class) pairs, 3 <= n <= 12"

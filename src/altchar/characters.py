@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .partitions import (
@@ -385,7 +384,7 @@ class QuadValue:
 
     def __str__(self) -> str:
         if self.is_rational():
-            return str(Fraction(self.a, 2))
+            return str(self.a // 2) if self.a % 2 == 0 else f"{self.a}/2"
         root = f"sqrt({self.D})" if abs(self.b) == 1 else f"{abs(self.b)}*sqrt({self.D})"
         sign = "-" if self.b < 0 else ("+" if self.a else "")
         lead = str(self.a) if self.a else ""

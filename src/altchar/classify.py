@@ -1,10 +1,12 @@
 """Closed-form classifiers: invariant vectors, unisingularity, n-cycle gaps.
 
-Each predicate is evaluated from a finite list of exception families and
-sporadic cases, in constant time; the multiplicity engine is never called
-here.  The verification suite replays every list against the engine, so a
-transcription slip in a family would surface as a test failure, not as a
-silent wrong answer.
+Each group's invariant-vector result is written once, as one ordered list
+of (rule id, shape, class) per n, _sn_rules and _an_rules, naming every
+pair whose class element fixes no nonzero vector of the shape.  The
+invariant_failure predicates return the first rule that matches; the
+unisingular predicates ask whether any rule names the shape.  The engine is
+never called here: the tests replay every list against whole character
+columns, so a transcription slip surfaces as a failure, not a wrong answer.
 
 Rule identifiers double as provenance strings: the CLI prints them as the
 rule behind each verdict or gap, in every output format.
@@ -13,9 +15,12 @@ rule behind each verdict or gap, in every output format.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .characters import AnClass, AnIrrep, in_alternating
 from .partitions import Partition, check_partition
+
+Rule = tuple[str, Partition, "Partition | None"]  # (rule id, shape, class)
 
 
 def _hook_with_two(n: int) -> Partition:
@@ -38,39 +43,41 @@ _SN_SPORADIC = {
 }
 
 
+@cache
+def _sn_rules(n: int) -> tuple[Rule, ...]:
+    """The S_n rules of size n in precedence order: the four families, then the sporadic pairs.
+
+    Class None is every odd class.  Two pairs meet two rules and take the
+    first: (1,1) at (2) is the sign rule, and (2,1) at (3) the standard one.
+    """
+    rules: list[Rule] = []
+    if n >= 2:
+        rules.append(("sn:sign-at-odd-class", (1,) * n, None))
+        rules.append(("sn:standard-at-n-cycle", (n - 1, 1), (n,)))
+    if n >= 3 and n % 2 == 1:
+        rules.append(("sn:twisted-standard-at-n-cycle", _hook_with_two(n), (n,)))
+    if n >= 5 and n % 2 == 1:
+        rules.append(("sn:two-column-at-near-cycle", _two_column(n), (n - 2, 2)))
+    rules.extend((rule, lam, mu) for (lam, mu), rule in _SN_SPORADIC.items() if sum(lam) == n)
+    return tuple(rules)
+
+
 def invariant_failure_sn(lam: Partition, mu: Partition) -> str | None:
     """Rule id when w_mu has no invariant vector in shape lam, else None."""
     lam = check_partition(lam)
     mu = check_partition(mu)
-    n = sum(lam)
-    if n != sum(mu):
+    if sum(lam) != sum(mu):
         raise ValueError("sizes differ")
-    if n >= 2 and lam == (1,) * n and not in_alternating(mu):
-        return "sn:sign-at-odd-class"
-    if n >= 2 and lam == (n - 1, 1) and mu == (n,):
-        return "sn:standard-at-n-cycle"
-    if n >= 3 and n % 2 == 1 and lam == _hook_with_two(n) and mu == (n,):
-        return "sn:twisted-standard-at-n-cycle"
-    if n >= 5 and n % 2 == 1 and lam == _two_column(n) and mu == (n - 2, 2):
-        return "sn:two-column-at-near-cycle"
-    return _SN_SPORADIC.get((lam, mu))
-
-
-def has_invariant_sn(lam: Partition, mu: Partition) -> bool:
-    return invariant_failure_sn(lam, mu) is None
+    for rule, shape, cls in _sn_rules(sum(lam)):
+        if shape == lam and (cls == mu if cls else not in_alternating(mu)):
+            return rule
+    return None
 
 
 def unisingular_sn(lam: Partition) -> bool:
     """True when every permutation has an invariant vector in shape lam."""
     lam = check_partition(lam)
-    n = sum(lam)
-    if n >= 2 and lam in ((1,) * n, (n - 1, 1)):
-        return False
-    if n >= 3 and n % 2 == 1 and lam == _hook_with_two(n):
-        return False
-    if n >= 5 and n % 2 == 1 and lam == _two_column(n):
-        return False
-    return lam not in {pair[0] for pair in _SN_SPORADIC}
+    return all(shape != lam for _, shape, _ in _sn_rules(sum(lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -83,34 +90,32 @@ _AN_SPORADIC = {
 }
 
 
-def invariant_failure_an(rep: AnIrrep, cls: AnClass) -> str | None:
-    """Rule id when the class has no invariant vector in rep, else None.
+@cache
+def _an_rules(n: int) -> tuple[Rule, ...]:
+    """The A_n rules of size n in precedence order: the sporadic pairs, then the standard family.
 
-    The verdict never depends on the split tags; both halves of a split
-    irreducible fail together, at both halves of a split class.
+    No rule reads a split tag, so both halves of a split irreducible fail
+    together, at both halves of a split class.
     """
+    rules: list[Rule] = [(rule, lam, mu) for (lam, mu), rule in _AN_SPORADIC.items() if sum(lam) == n]
+    if n > 3 and n % 2 == 1:
+        rules.append(("an:standard-at-n-cycle", (n - 1, 1), (n,)))
+    return tuple(rules)
+
+
+def invariant_failure_an(rep: AnIrrep, cls: AnClass) -> str | None:
+    """Rule id when the class has no invariant vector in rep, else None."""
     if rep.n != cls.n:
         raise ValueError("sizes differ")
-    n = rep.n
-    sporadic = _AN_SPORADIC.get((rep.lam, cls.mu))
-    if sporadic:
-        return sporadic
-    if n > 3 and n % 2 == 1 and rep.lam == (n - 1, 1) and cls.mu == (n,):
-        return "an:standard-at-n-cycle"
+    for rule, shape, mu in _an_rules(rep.n):
+        if shape == rep.lam and mu == cls.mu:
+            return rule
     return None
 
 
-def has_invariant_an(rep: AnIrrep, cls: AnClass) -> bool:
-    return invariant_failure_an(rep, cls) is None
-
-
 def unisingular_an(rep: AnIrrep) -> bool:
-    n = rep.n
-    if rep.lam in {pair[0] for pair in _AN_SPORADIC}:
-        return False
-    if n > 3 and n % 2 == 1 and rep.lam == (n - 1, 1):
-        return False
-    return True
+    """True when every element of the alternating group has an invariant vector in rep."""
+    return all(shape != rep.lam for _, shape, _ in _an_rules(rep.n))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +164,3 @@ def n_cycle_gaps(n: int) -> tuple[NCycleGap, ...]:
         add((2, 2, 2), (1, 5), "ncycle:(2,2,2)")
         add((3, 3), (2, 4), "ncycle:(3,3)")
     return tuple(gaps)
-
-
-def n_cycle_gap_set(n: int) -> frozenset[tuple[Partition, int]]:
-    return frozenset((g.lam, g.i) for g in n_cycle_gaps(n))

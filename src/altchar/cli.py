@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from .acceptance import ALL_CRITERIA, run_criteria
 from .characters import (
     TABLE_BOUND,
+    TAG_PLUS,
     AnClass,
     AnIrrep,
     character_table_an,
@@ -79,7 +80,7 @@ def _check_bound(n: int, bound: int, what: str, args) -> None:
         )
 
 
-def _operands(args, halves: bool = False) -> list[list]:
+def _operands(args, either_half: bool = False) -> list:
     """Parse the partition-valued options of args, each one validated once.
 
     The options present among --irrep, --class and --mu are read, in that
@@ -87,8 +88,9 @@ def _operands(args, halves: bool = False) -> list[list]:
     some n >= 1 within the closed-form bound, and all must share that n.
     Split tags are accepted only with --group an, where each operand becomes
     an AnIrrep or AnClass; elsewhere it stays a plain partition.  Each
-    operand yields a list: its one value, or with halves set, both halves
-    of an untagged shape or type that splits.
+    operand yields one value.  With either_half set, an untagged shape or
+    type that splits is read as its plus half, for callers whose answer
+    reads no split tag.
     """
     an = getattr(args, "group", None) == "an"
     labels = []
@@ -111,20 +113,12 @@ def _operands(args, halves: bool = False) -> list[list]:
     if any(sum(parts) != n for parts, _, _ in labels):
         raise CliError("the shape and the cycle type must partition the same n")
     if not an:
-        return [[parts] for parts, _, _ in labels]
+        return [parts for parts, _, _ in labels]
     splits = {AnIrrep: irrep_splits, AnClass: class_splits}
     return [
-        [kind(parts, "+"), kind(parts, "-")]
-        if halves and not tag and splits[kind](parts)
-        else [kind(parts, tag)]
+        kind(parts, TAG_PLUS if either_half and not tag and splits[kind](parts) else tag)
         for parts, tag, kind in labels
     ]
-
-
-def _unanimous(verdicts: list, what: str):
-    if len(set(verdicts)) != 1:
-        raise CliError(f"{what} differs between the split halves; pass explicit ':+'/':-' tags")
-    return verdicts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +127,7 @@ def _unanimous(verdicts: list, what: str):
 
 def _cmd_eigmult(args) -> Output:
     inputs = {"group": args.group, "irrep": args.irrep, "class": args.cls, "index": args.i}
-    [irrep], [cls] = _operands(args)
+    irrep, cls = _operands(args)
     engine = sn_multiplicity_vector if args.group == "sn" else an_multiplicity_vector
     vec = engine(irrep, cls)
     results = vec.json_dict()
@@ -155,7 +149,7 @@ def _cmd_eigmult(args) -> Output:
 
 
 def _cmd_bias(args) -> Output:
-    [[mu]] = _operands(args)
+    [mu] = _operands(args)
     inputs = {"mu": args.mu, "index": args.i}
     results = bias_vector(mu)
     if args.i is not None:
@@ -175,14 +169,12 @@ def _cmd_bias(args) -> Output:
 
 def _cmd_invariant(args) -> Output:
     inputs = {"group": args.group, "irrep": args.irrep, "class": args.cls}
-    reps, classes = _operands(args, halves=True)
+    irrep, cls = _operands(args, either_half=True)
     if args.group == "sn":
-        [lam], [mu] = reps, classes
-        rule = invariant_failure_sn(lam, mu)
-        labels = (format_partition(lam), format_partition(mu))
+        rule = invariant_failure_sn(irrep, cls)
+        labels = (format_partition(irrep), format_partition(cls))
     else:
-        pairs = [(r, c) for r in reps for c in classes]
-        rule = _unanimous([invariant_failure_an(r, c) for r, c in pairs], "the rule")
+        rule = invariant_failure_an(irrep, cls)
         labels = (args.irrep, args.cls)
     verdict = rule is None
     results = {"has_invariant": verdict, "rule": rule}
@@ -200,13 +192,12 @@ def _cmd_invariant(args) -> Output:
 
 def _cmd_unisingular(args) -> Output:
     inputs = {"group": args.group, "irrep": args.irrep}
-    [reps] = _operands(args, halves=True)
+    [irrep] = _operands(args, either_half=True)
     if args.group == "sn":
-        [lam] = reps
-        verdict = unisingular_sn(lam)
-        label = format_partition(lam)
+        verdict = unisingular_sn(irrep)
+        label = format_partition(irrep)
     else:
-        verdict = _unanimous([unisingular_an(r) for r in reps], "the verdict")
+        verdict = unisingular_an(irrep)
         label = args.irrep
     results = {"unisingular": verdict}
     text = [f"{label} is {'unisingular' if verdict else 'not unisingular'}"]
@@ -243,7 +234,7 @@ def _cmd_swanson(args) -> Output:
 
 
 def _cmd_power_conj(args) -> Output:
-    [[mu]] = _operands(args)
+    [mu] = _operands(args)
     verdict = power_conjugacy(mu, args.i)
     inputs = {"mu": args.mu, "index": args.i}
     results = {"mu": format_partition(mu), "index": args.i, "verdict": verdict}
@@ -258,7 +249,7 @@ def _cmd_power_conj(args) -> Output:
 
 
 def _cmd_global(args) -> Output:
-    [[mu]] = _operands(args)
+    [mu] = _operands(args)
     n = sum(mu)
     closed = is_global_class(mu)
     attach_brute = args.verify or closed.is_global is None

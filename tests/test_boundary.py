@@ -29,8 +29,8 @@ ENTRY_POINTS = {
     "bias_vector": altchar.bias_vector,
     "bias_failure": lambda mu: altchar.bias_failure(mu, [1]),
     "power_conjugacy": lambda mu: altchar.power_conjugacy(mu, 1),
-    "has_invariant_sn(lam)": lambda mu: altchar.has_invariant_sn(mu, (2,)),
-    "has_invariant_sn(mu)": lambda mu: altchar.has_invariant_sn((2,), mu),
+    "invariant_failure_sn(lam)": lambda mu: altchar.invariant_failure_sn(mu, (2,)),
+    "invariant_failure_sn(mu)": lambda mu: altchar.invariant_failure_sn((2,), mu),
     "unisingular_sn": altchar.unisingular_sn,
     "is_global_class": altchar.is_global_class,
     "global_brute_force": altchar.global_brute_force,

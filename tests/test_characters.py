@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -368,3 +369,5 @@ def test_quadvalue_string_forms():
     assert str(QuadValue(1, -1, 5)) == "(1-sqrt(5))/2"
     assert str(QuadValue(0, 1, -3)) == "sqrt(-3)/2"
     assert str(QuadValue(0, -2, 5)) == "-2*sqrt(5)/2"
+    for a in range(-1000, 1001):  # a rational value prints as its reduced fraction
+        assert str(QuadValue.half(a)) == str(Fraction(a, 2)), a

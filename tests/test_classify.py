@@ -4,13 +4,19 @@ import math
 import pytest
 
 from altchar import perms
-from altchar.characters import TAG_MINUS, TAG_NONE, TAG_PLUS, AnClass, an_classes, an_irreps, mn_character
+from altchar.characters import (
+    TAG_MINUS,
+    TAG_NONE,
+    TAG_PLUS,
+    AnClass,
+    _column,
+    an_classes,
+    an_irreps,
+    mn_character,
+)
 from altchar.classify import (
-    has_invariant_an,
-    has_invariant_sn,
     invariant_failure_an,
     invariant_failure_sn,
-    n_cycle_gap_set,
     n_cycle_gaps,
     unisingular_an,
     unisingular_sn,
@@ -18,11 +24,13 @@ from altchar.classify import (
 from altchar.multiplicity import (
     _power_type,
     an_multiplicity_vector,
+    bias_vector,
     order_of_type,
     power_conjugacy,
     sn_multiplicity_vector,
 )
-from altchar.partitions import partitions
+from altchar.numtheory import divisors, euler_phi
+from altchar.partitions import partitions, phi
 from conftest import an_character, quad_complex
 
 
@@ -30,7 +38,7 @@ from conftest import an_character, quad_complex
 def test_symmetric_invariants_match_the_engine(n):
     for lam in partitions(n):
         for mu in partitions(n):
-            predicted = has_invariant_sn(lam, mu)
+            predicted = invariant_failure_sn(lam, mu) is None
             assert predicted == (sn_multiplicity_vector(lam, mu).entries[0] > 0), (lam, mu)
 
 
@@ -38,7 +46,7 @@ def test_symmetric_invariants_match_the_engine(n):
 def test_alternating_invariants_match_the_engine(n):
     for rep in an_irreps(n):
         for cls in an_classes(n):
-            predicted = has_invariant_an(rep, cls)
+            predicted = invariant_failure_an(rep, cls) is None
             assert predicted == (an_multiplicity_vector(rep, cls).entries[0] > 0), (rep, cls)
 
 
@@ -52,6 +60,56 @@ def test_family_failures_carry_rules():
     # the sign shape fails at any class with an odd permutation power pattern
     assert invariant_failure_sn((1, 1, 1, 1), (2, 1, 1)) == "sn:sign-at-odd-class"
     assert invariant_failure_sn((4, 1), (5,)) == "sn:standard-at-n-cycle"
+    # two pairs meet two rules, and the first rule in the list names them
+    assert invariant_failure_sn((1, 1), (2,)) == "sn:sign-at-odd-class"  # (1,1) is also the standard shape
+    assert invariant_failure_sn((2, 1), (3,)) == "sn:standard-at-n-cycle"  # (2,1) is also the twisted one
+
+
+def invariant_counts(n: int) -> dict:
+    """a_0 of every shape at every type of size n, as {mu: a_0 by row of partitions(n)}.
+
+    a_0 = (1/m) * sum over d | m of phi(m/d) * chi(w**d), the i = 0 case of
+    the Fourier step (c_q(0) = phi(q)), for all shapes at once from columns.
+    """
+    out = {}
+    for mu in partitions(n):
+        m = order_of_type(mu)
+        total = [0] * len(partitions(n))
+        for d in divisors(m):
+            for r, chi in enumerate(_column(_power_type(mu, d))):
+                total[r] += euler_phi(m // d) * chi
+        assert all(t % m == 0 for t in total), mu
+        out[mu] = [t // m for t in total]
+    return out
+
+
+def an_invariant_count(rep, cls, counts, row) -> int:
+    """a_0 of rep at cls: (a_0 +- d_0)/2 for a split half at its own hook class, a_0/2 at the others."""
+    a0 = counts[cls.mu][row[rep.lam]]
+    if not rep.tag:
+        return a0
+    if cls.tag and phi(cls.mu) == rep.lam:
+        d0 = bias_vector(cls.mu)[0].value
+        a0 += d0 if rep.tag == cls.tag else -d0
+    assert a0 % 2 == 0, (rep, cls)
+    return a0 // 2
+
+
+@pytest.mark.parametrize("n", range(1, 19))
+def test_every_rule_list_replays_against_whole_columns(n):
+    """Both invariant-vector lists and both unisingular predicates, on every pair of size n."""
+    counts = invariant_counts(n)
+    row = {lam: r for r, lam in enumerate(partitions(n))}
+    for lam, r in row.items():
+        fixes = [counts[mu][r] > 0 for mu in partitions(n)]
+        for mu, fixed in zip(partitions(n), fixes):
+            assert fixed == (invariant_failure_sn(lam, mu) is None), (lam, mu)
+        assert unisingular_sn(lam) == all(fixes), lam
+    for rep in an_irreps(n):
+        fixes = [an_invariant_count(rep, cls, counts, row) > 0 for cls in an_classes(n)]
+        for cls, fixed in zip(an_classes(n), fixes):
+            assert fixed == (invariant_failure_an(rep, cls) is None), (rep, cls)
+        assert unisingular_an(rep) == all(fixes), rep
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -83,7 +141,7 @@ def test_gap_catalog_equals_the_computed_zero_set(n):
         for i, a in enumerate(sn_multiplicity_vector(lam, (n,)).entries)
         if a == 0
     }
-    assert n_cycle_gap_set(n) == computed
+    assert {(g.lam, g.i) for g in n_cycle_gaps(n)} == computed
 
 
 def test_gap_catalog_is_duplicate_free():

@@ -1,12 +1,16 @@
 """Every name a library module imports is used in that module, every
 public function and method has a caller, no module touches floating
-point, and the engines never call a checked partition entry point.
+point, the engines never call a checked partition entry point, and
+importing the CLI loads no decimal arithmetic.
 
 The package's __init__ imports names to re-export them and is left out of
 the unused-import scan.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -190,3 +194,12 @@ def test_the_scan_flags_an_uncalled_method_and_function():
         "engine": "from .shapes import helper\n\ndef run():\n    spare = helper()\n    return spare\n",
     }
     assert _uncalled(modules, "from .engine import run\n", []) == ["shapes.Box.spare", "shapes.orphan"]
+
+
+def test_the_cli_imports_no_decimal_arithmetic():
+    """fractions pulls in decimal and numbers; the exact core needs neither."""
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, altchar.cli; print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
