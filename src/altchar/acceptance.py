@@ -224,6 +224,8 @@ def _criterion_3() -> tuple[bool, str]:
                 entries = sn_multiplicity_vector(lam, mu).entries
                 if failure := sn_multiplicity_failure(lam, mu, entries):
                     return False, failure
+                # The engine's (1^n) value is Frobenius' bead formula
+                # (characters._mask_degree); this is the hook-length product.
                 if sum(entries) != _dimension(lam):
                     return False, f"entries do not sum to the dimension at lam={lam}, mu={mu}"
                 checked += len(entries)
@@ -231,8 +233,8 @@ def _criterion_3() -> tuple[bool, str]:
 
 
 def _criterion_4() -> tuple[bool, str]:
-    """The n-cycle gap list matches the computed zero set for 2 <= n <= 12."""
-    for n in range(2, 13):
+    """The n-cycle gap list matches the computed zero set for 2 <= n <= 24."""
+    for n in range(2, 25):
         computed = {
             (lam, i)
             for lam in partitions(n)
@@ -242,7 +244,7 @@ def _criterion_4() -> tuple[bool, str]:
         listed = {(g.lam, g.i) for g in n_cycle_gaps(n)}
         if computed != listed:
             return False, f"gap set differs at n={n}: {sorted(computed ^ listed)[:4]}"
-    return True, "zero sets match for 2 <= n <= 12"
+    return True, "zero sets match for 2 <= n <= 24"
 
 
 def _criterion_5() -> tuple[bool, str]:

@@ -5,9 +5,12 @@ strip every rim hook of length mu[0] off the shape and recurse on mu[1:].
 Inside this module a shape is held by its beta-set, as one int bit mask
 (_beta_mask), and both engines take their hooks from one rim-hook step on
 those masks, _rim_hooks.  _mn evaluates one entry, memoized by (mask,
-suffix of mu), for mn_character and the multiplicity vectors; _column
-gives every shape's value at one cycle type, through one transition table
-per (n, h), for the A_n character tables and the global-class sums.  A
+suffix of mu), for mn_character and the multiplicity vectors; at an
+all-ones suffix (1^k) it stops and returns the degree, which
+_mask_degree reads off the beads by Frobenius' formula
+f = n! * prod over i < j of (b_j - b_i) / prod of b_i!.  _column gives
+every shape's value at one cycle type, through one transition table per
+(n, h), for the A_n character tables and the global-class sums.  A
 column sums one row per transpose pair, the shape lam >= lam', and writes
 its transpose's row by the sign twist chi^lam'(mu) = sgn(mu) chi^lam(mu).
 Callers outside the module hand over shapes, never masks.
@@ -93,11 +96,42 @@ def _rim_hooks(beta: int, h: int) -> list[tuple[int, int]]:
     return out
 
 
+def _mask_degree(beta: int) -> int:
+    """The degree f^lam of the shape lam of mask beta, by Frobenius' formula on its beads.
+
+    With beads b_1 < ... < b_k, n = sum(b) - k(k-1)/2 and
+    f = n! * prod over i < j of (b_j - b_i) / prod of b_i!.  It is kept
+    apart from partitions._dimension, the hook-length product cell by
+    cell, so that criterion 3's check of each vector's sum against
+    _dimension compares two independent formulas.
+
+    >>> _mask_degree(_beta_mask((3, 2))), _mask_degree(_beta_mask((2, 1, 1))), _mask_degree(0)
+    (5, 3, 1)
+    """
+    beads = [b for b in range(beta.bit_length()) if beta >> b & 1]
+    k = len(beads)
+    num, den = math.factorial(sum(beads) - k * (k - 1) // 2), 1
+    for j, b in enumerate(beads):
+        den *= math.factorial(b)
+        for a in beads[:j]:
+            num *= b - a
+    f, r = divmod(num, den)
+    if r:
+        raise InternalCheckError(f"Frobenius' degree formula is not integral at mask {beta}")
+    return f
+
+
 @cache
 def _mn(beta: int, mu: Partition) -> int:
-    """chi^lam(mu) for the shape lam of mask beta, memoized by (mask, suffix of mu)."""
+    """chi^lam(mu) for the shape lam of mask beta, memoized by (mask, suffix of mu).
+
+    An all-ones suffix is a leaf: chi^lam(1^k) is the degree, which
+    _mask_degree reads off the beads instead of walking every subshape.
+    """
     if not mu:
         return 1
+    if mu[0] == 1:
+        return _mask_degree(beta)
     rest = mu[1:]  # one suffix tuple, shared by every child's memo key
     total = 0
     for sign, smaller in _rim_hooks(beta, mu[0]):

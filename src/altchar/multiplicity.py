@@ -11,7 +11,12 @@ divisors d of m weighted by Ramanujan sums c_{m/d}(i); and since the
 characters of S_n are rational, a_i depends on i only through
 g = gcd(i, m).  sn_multiplicity_vector therefore evaluates chi once at
 each of the tau(m) power types w^d, solves a_g once for each divisor g
-of m, and broadcasts a_i = a_{gcd(i, m)}.
+of m, and broadcasts a_i = a_{gcd(i, m)}.  The Fourier data depend on m
+alone and are built once per element order asked, by _fourier_plan: the
+divisors, the tau(m) x tau(m) Ramanujan matrix and the divisor slot of
+each index, tau(m)**2 + tau(m) + m integers per order in an unbounded
+memo.  At the CLI's CLOSED_FORM_BOUND, n = 30, the largest order is
+m = 4620, where tau(m) = 48.
 
 For a split class (distinct odd parts) the plus and minus halves of the
 self-conjugate shape of matching hook type differ by a bias d_i, which has
@@ -31,6 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from operator import mul
 
 from .characters import TAG_NONE, AnClass, AnIrrep, _sn_values
 from .errors import InternalCheckError
@@ -75,19 +82,31 @@ class MultiplicityVector:
         }
 
 
+@cache
+def _fourier_plan(m: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The Fourier data of order m: divisors(m), one row per divisor g and one slot per index.
+
+    Row g holds the Ramanujan sums c_{m/d}(g) over the divisors d; slot i
+    is the position of gcd(i, m) in divisors(m), for 0 <= i < m.
+    """
+    divs = divisors(m)
+    rows = tuple(tuple(ramanujan(m // d, g) for d in divs) for g in divs)
+    slot = {g: s for s, g in enumerate(divs)}
+    return divs, rows, tuple(slot[math.gcd(i, m)] for i in range(m))
+
+
 def _sn_entries(lam: Partition, mu: Partition) -> tuple[int, ...]:
     """The entries of sn_multiplicity_vector; lam and mu are trusted, of equal size."""
     m = order_of_type(mu)
-    divs = divisors(m)
+    divs, rows, slots = _fourier_plan(m)
     chi = _sn_values(lam, [_power_type(mu, d) for d in divs])
-    by_gcd = {}
-    for g in divs:
-        total = sum(c * ramanujan(m // d, g) for c, d in zip(chi, divs))
-        a, r = divmod(total, m)
+    by_gcd = []
+    for g, row in zip(divs, rows):
+        a, r = divmod(sum(map(mul, chi, row)), m)
         if r != 0 or a < 0:
             raise InternalCheckError(f"non-integral multiplicity for {lam} at {mu}, gcd(i, m)={g}")
-        by_gcd[g] = a
-    return tuple(by_gcd[math.gcd(i, m)] for i in range(m))
+        by_gcd.append(a)
+    return tuple(map(by_gcd.__getitem__, slots))
 
 
 def sn_multiplicity_vector(lam: Partition, mu: Partition) -> MultiplicityVector:

@@ -152,6 +152,13 @@ def dimension(lam: Partition) -> int:
 
 @cache
 def _dimension(lam: Partition) -> int:
+    """n! over the product of the hook lengths of lam, cell by cell; lam is trusted.
+
+    characters._mask_degree gives the same number by Frobenius' formula on
+    the beta-set, for the MN leaf.  Neither calls the other: criterion 3
+    checks each multiplicity vector's sum, built on the bead formula,
+    against this hook-length product.
+    """
     # Checked before the memo: (True,) and (2.0,) hash like (1,) and (2,).
     n = sum(lam)
     lamc = _conjugate(lam)

@@ -11,6 +11,7 @@ from altchar.characters import (
     QuadValue,
     _beta_mask,
     _column,
+    _mask_degree,
     _mn,
     _rim_hooks,
     _rim_table,
@@ -27,6 +28,7 @@ from altchar.characters import (
 )
 from altchar.errors import InternalCheckError
 from altchar.partitions import (
+    _dimension,
     centralizer_order_sn,
     conjugate,
     dimension,
@@ -162,11 +164,29 @@ def test_mask_step_equals_the_tuple_step():
                 assert _rim_hooks(beta, h) == expected, (lam, h)
 
 
+def test_bead_degree_equals_the_hook_length_product():
+    """Frobenius' formula on the beads gives the hook-length degree, every shape with n <= 20."""
+    for n in range(21):
+        for lam in partitions(n):
+            assert _mask_degree(_beta_mask(lam)) == _dimension(lam), lam
+
+
+def test_the_leaf_equals_the_identity_column():
+    """The entry at (1^n), a leaf of _mn, equals the column's row by row, n <= 14.
+
+    The column recursion strips every part and never reaches the leaf.
+    """
+    for n in range(15):
+        ones = (1,) * n
+        assert [_mn(_beta_mask(lam), ones) for lam in partitions(n)] == list(_column(ones))
+
+
 def test_mn_memo_holds_one_key_per_shape_and_suffix():
     """The entry memo holds one key per (shape, suffix) pair the tuple recursion visits.
 
     A shape reached under two masks would still give right values while
-    doubling the memo; this counts the keys.
+    doubling the memo; this counts the keys.  An all-ones suffix is a leaf
+    of _mn, so the walk does not go below it.
     """
     queries = [
         ((5, 4, 3, 2, 1), (7, 5, 3)),
@@ -186,7 +206,7 @@ def test_mn_memo_holds_one_key_per_shape_and_suffix():
         if (lam, mu) in visited:
             return
         visited.add((lam, mu))
-        if mu:
+        if mu and mu[0] > 1:
             for _, smaller in tuple_rim_hooks(beta_set(lam), mu[0]):
                 visit(smaller, mu[1:])
 

@@ -1,7 +1,7 @@
 """Every name a library module imports is used in that module, every
 public function and method has a caller, no module touches floating
-point, the engines never call a checked partition entry point, and
-importing the CLI loads no decimal arithmetic.
+point or holds an assert statement, the engines never call a checked
+partition entry point, and importing the CLI loads no decimal arithmetic.
 
 The package's __init__ imports names to re-export them and is left out of
 the unused-import scan.
@@ -87,6 +87,23 @@ def test_the_scan_flags_a_float():
         "literal 0.5 (line 4)",
         "literal 2j (line 4)",
     ]
+
+
+def _asserts(source: str) -> list[str]:
+    """Each assert statement in source."""
+    lines = sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+    return [f"assert (line {line})" for line in lines]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_asserts_in_the_package(path):
+    """python -O strips asserts: a check that guards exactness raises a named error instead."""
+    assert _asserts(path.read_text()) == []
+
+
+def test_the_scan_flags_an_assert():
+    source = "def f(x):\n    assert x > 0, 'positive'\n    if x:\n        assert x\n    return x\n"
+    assert _asserts(source) == ["assert (line 2)", "assert (line 4)"]
 
 
 CHECKED = {"conjugate", "dimension", "phi", "has_distinct_odd_parts", "cycle_type_data"}

@@ -10,6 +10,7 @@ from altchar import perms
 from altchar.acceptance import bias_failure, cyclotomic_polynomial, sn_multiplicity_failure
 from altchar.characters import AnClass, AnIrrep, an_classes, an_irreps, irrep_splits
 from altchar.multiplicity import (
+    _fourier_plan,
     _power_type,
     an_multiplicity_vector,
     bias_vector,
@@ -17,6 +18,7 @@ from altchar.multiplicity import (
     power_conjugacy,
     sn_multiplicity_vector,
 )
+from altchar.numtheory import divisors, ramanujan
 from altchar.partitions import (
     _epsilon,
     dimension,
@@ -95,6 +97,15 @@ def test_engine_equals_oracle(n):
             vec = sn_multiplicity_vector(lam, mu)
             assert vec.m == len(vec.entries) == m
             assert sn_multiplicity_failure(lam, mu, vec.entries) is None
+
+
+def test_fourier_plan_equals_the_ramanujan_sums():
+    """Each order's plan holds c_{m/d}(g) entry by entry and the slot of gcd(i, m), m <= 500."""
+    for m in range(1, 501):
+        divs, rows, slots = _fourier_plan(m)
+        assert divs == divisors(m)
+        assert rows == tuple(tuple(ramanujan(m // d, g) for d in divs) for g in divs)
+        assert slots == tuple(divs.index(math.gcd(i, m)) for i in range(m))
 
 
 def test_trivial_shape_sees_only_eigenvalue_one():
