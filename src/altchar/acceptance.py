@@ -224,8 +224,9 @@ def _criterion_3() -> tuple[bool, str]:
                 entries = sn_multiplicity_vector(lam, mu).entries
                 if failure := sn_multiplicity_failure(lam, mu, entries):
                     return False, failure
-                # The engine's (1^n) value is Frobenius' bead formula
-                # (characters._mask_degree); this is the hook-length product.
+                # The entries sum to the engine's value at (1^n), which _mn
+                # takes from Frobenius' bead formula (characters._mask_degree);
+                # _dimension is the hook-length product, kept independent.
                 if sum(entries) != _dimension(lam):
                     return False, f"entries do not sum to the dimension at lam={lam}, mu={mu}"
                 checked += len(entries)
