@@ -8,12 +8,17 @@ those masks, _rim_hooks.  _mn evaluates one entry, memoized by (mask,
 suffix of mu), for mn_character and the multiplicity vectors; at an
 all-ones suffix (1^k) it stops and returns the degree, which
 _mask_degree reads off the beads by Frobenius' formula
-f = n! * prod over i < j of (b_j - b_i) / prod of b_i!.  _column gives
-every shape's value at one cycle type, through one transition table per
-(n, h), for the A_n character tables and the global-class sums.  A
-column sums one row per transpose pair, the shape lam >= lam', and writes
-its transpose's row by the sign twist chi^lam'(mu) = sgn(mu) chi^lam(mu).
-Callers outside the module hand over shapes, never masks.
+f = n! * prod over i < j of (b_j - b_i) / prod of b_i!.  Whole columns,
+every shape's value at one cycle type, serve the A_n character tables
+and the global-class sums: _fill_columns builds the columns of many types
+at once into the dict _COLUMNS, which _column reads.  Types that share
+(n, h = mu[0], parity of n - len(mu)) form one group, with one rim table
+per (n, h) whose rows hold the rows left by each shape's h-rim hooks, split
+by sign; the group's columns are one sparse product, each table row summed
+once over the whole group.  A column sums one row per transpose pair, the
+shape lam >= lam', and writes its transpose's row by the sign twist
+chi^lam'(mu) = sgn(mu) chi^lam(mu).  Callers outside the module hand over
+shapes, never masks.
 
 Restricting to the alternating group, the representation of a
 non-self-conjugate shape stays irreducible (and equals that of its
@@ -25,8 +30,10 @@ discriminant D per split class, which QuadValue stores exactly.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
+from operator import add, neg, sub
 
 from .partitions import (
     Partition,
@@ -170,36 +177,91 @@ def _row_of(lam: Partition) -> int:
 
 
 @cache
-def _rim_table(n: int, h: int) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
-    """For each row r of partitions(n) with lam >= lam': r, twin[r] and its h-rim hooks.
+def _rim_table(n: int, h: int) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
+    """For each row r of partitions(n) with lam >= lam': (r, twin[r], plus, minus).
 
-    A hook is a (sign, index in partitions(n - h)) pair.  It walks the
-    masks of _row_index(n), which are in partitions(n) order, and finds
-    each smaller shape's row by its mask in _row_index(n - h).  The memo
-    holds one such tuple per (n, h); the _row_index memo holds one
-    mask-to-row dict and one transpose map per size.
+    plus and minus hold the rows in partitions(n - h) of lam's h-rim hooks
+    of sign +1 and -1, split once, here.  It walks the masks of
+    _row_index(n), which are in partitions(n) order, and finds each smaller
+    shape's row by its mask in _row_index(n - h).  The memo holds one such
+    tuple per (n, h); the _row_index memo holds one mask-to-row dict and one
+    transpose map per size.  At n = 4, h = 2 the self-conjugate row (2, 2)
+    loses a horizontal domino with sign +1, leaving (2,), and a vertical
+    one with sign -1, leaving (1, 1):
+
+    >>> partitions(4)[2], partitions(2)
+    ((2, 2), ((2,), (1, 1)))
+    >>> _rim_table(4, 2)
+    ((0, 4, (0,), ()), (1, 3, (1,), ()), (2, 2, (0,), (1,)))
     """
     (index, twin), below = _row_index(n), _row_index(n - h)[0]
-    return tuple((r, t, tuple((sign, below[smaller]) for sign, smaller in _rim_hooks(beta, h)))
-                 for r, (beta, t) in enumerate(zip(index, twin)) if r <= t)
+    out = []
+    for r, (beta, t) in enumerate(zip(index, twin)):
+        if r <= t:
+            plus, minus = [], []
+            for sign, smaller in _rim_hooks(beta, h):
+                (plus if sign > 0 else minus).append(below[smaller])
+            out.append((r, t, tuple(plus), tuple(minus)))
+    return tuple(out)
 
 
-@cache
+_COLUMNS: dict[Partition, tuple[int, ...]] = {(): (1,)}  # cycle type -> column, filled by _fill_columns
+
+
+def _fill_columns(types) -> None:
+    """Put the column of each cycle type in types into _COLUMNS, one rim-table pass per group.
+
+    A column is the values chi^lam(mu) for every lam in partitions(sum(mu)),
+    in that order.  The suffixes mu[1:] of the missing types are filled
+    first, recursively.  The missing types are then grouped by (n, h, parity)
+    with h = mu[0] and parity that of n - len(mu): a group shares one rim
+    table and one sign sgn(mu) = (-1)^(n - len(mu)).  Its below-columns are
+    transposed into rows, one value per type, so each kept row of the table
+    is one sum over the whole group: the plus rows added and the minus rows
+    subtracted by map, and a single-hook row taken as it is.  The row of
+    lam' is that times sgn(mu); a self-conjugate row of an odd group is 0.
+    """
+    missing = [mu for mu in dict.fromkeys(types) if mu not in _COLUMNS]
+    if not missing:
+        return
+    _fill_columns([mu[1:] for mu in missing])
+    groups: dict[tuple[int, int, int], list[Partition]] = {}
+    for mu in missing:
+        n = sum(mu)
+        groups.setdefault((n, mu[0], (n - len(mu)) & 1), []).append(mu)
+    for (n, h, odd), group in groups.items():
+        below = list(zip(*[_COLUMNS[mu[1:]] for mu in group]))
+        rows = [(0,) * len(group)] * len(_row_index(n)[1])
+        for r, t, plus, minus in _rim_table(n, h):
+            if (odd and r == t) or not (plus or minus):
+                continue
+            if plus:
+                row = below[plus[0]]
+                for i in plus[1:]:
+                    row = map(add, row, below[i])
+            else:
+                row, minus = map(neg, below[minus[0]]), minus[1:]
+            for i in minus:
+                row = map(sub, row, below[i])
+            row = tuple(row)  # a single plus hook keeps its below row as it is
+            rows[r] = row
+            if t != r:
+                rows[t] = tuple(map(neg, row)) if odd else row
+        for mu, col in zip(group, zip(*rows)):
+            _COLUMNS[mu] = col
+
+
 def _column(mu: Partition) -> tuple[int, ...]:
     """The values chi^lam(mu) for every lam in partitions(sum(mu)), in that order.
 
-    It sums the rows of lam >= lam'; lam' takes that times sgn(mu) = (-1)^(n - len(mu)).
+    A lookup in _COLUMNS, which fills a group of one on a miss; callers that
+    need many columns fill them in one _fill_columns call first.
     """
-    if not mu:
-        return (1,)
-    n = sum(mu)
-    below = _column(mu[1:])
-    sign = -1 if (n - len(mu)) & 1 else 1
-    col = [0] * len(_row_index(n)[1])
-    for r, t, hooks in _rim_table(n, mu[0]):
-        col[r] = sum(s * below[i] for s, i in hooks)
-        col[t] = sign * col[r]  # when t == r and sign == -1, both are 0
-    return tuple(col)
+    col = _COLUMNS.get(mu)
+    if col is None:
+        _fill_columns((mu,))
+        col = _COLUMNS[mu]
+    return col
 
 
 def mn_character(lam: Partition, mu: Partition) -> int:
@@ -426,14 +488,16 @@ class QuadValue:
         return f"({body})/2" if self.a else f"{body}/2"
 
 
-def _an_value(rep: AnIrrep, cls: AnClass, value: int) -> QuadValue:
+def _an_value(rep: AnIrrep, cls: AnClass, value: int,
+              half: Callable[[int], QuadValue] = QuadValue.half) -> QuadValue:
     """The value of rep at cls, given value, the S_n value of rep.lam at cls.mu.
 
     On a whole irreducible it is value itself.  A split half takes
     (eps +- sqrt(eps*M))/2 on the two classes of its own hook type (plus
-    sign when the tags agree), and value/2 everywhere else.  Both constants
-    come from the parts of the split type: eps from _epsilon, and M, the
-    part product, as root**2 * core from _squarefree_split.
+    sign when the tags agree), and value/2, as half(value), everywhere
+    else; a caller may pass a half that hands out shared QuadValues.  Both
+    constants come from the parts of the split type: eps from _epsilon,
+    and M, the part product, as root**2 * core from _squarefree_split.
     """
     if rep.tag == TAG_NONE:
         return QuadValue.whole(value)
@@ -442,7 +506,7 @@ def _an_value(rep: AnIrrep, cls: AnClass, value: int) -> QuadValue:
         root, core = _squarefree_split(math.prod(cls.mu))
         b = root if rep.tag == cls.tag else -root
         return QuadValue(eps, b, eps * core)
-    return QuadValue.half(value)
+    return half(value)
 
 
 @dataclass(frozen=True)
@@ -478,16 +542,20 @@ def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
     """The character table of the alternating group on n points, n <= bound.
 
     Each class's cell values are read from one whole S_n column, the
-    values of every shape at its cycle type, which _column builds from the
-    columns of the type's suffixes by the MN rule, summing one row per
-    transpose pair.  Whole rows share one QuadValue per distinct S_n value,
-    from a dict that lives for this call; split rows go through _an_value.
+    values of every shape at its cycle type.  One _fill_columns call builds
+    the columns of all the classes from the columns of their suffixes by
+    the MN rule, one rim-table pass per (n, mu[0], parity) group, summing
+    one row per transpose pair.  Whole rows share one QuadValue per
+    distinct S_n value, and split rows one QuadValue.half per value, from
+    memos that live for this call; split rows go through _an_value.
     Three unbounded memos back it, as one does _mn, whose keys are
-    (beta-set mask, suffix of mu) pairs: _column holds one tuple per suffix
-    type asked, _rim_table one tuple of kept rows with their transpose
-    rows and (sign, row) hooks per (n, h) it met, and _row_index one dict
-    from beta-set mask to row and one transpose map per size; the tables
-    up to n = 18 leave 981 columns and 162 rim tables.
+    (beta-set mask, suffix of mu) pairs: the _COLUMNS dict, filled per
+    group, holds one tuple per type asked and per suffix of one,
+    _rim_table one tuple of kept rows with their transpose rows and plus
+    and minus hook rows per (n, h) it met, and _row_index one dict from
+    beta-set mask to row and one transpose map per size.  The tables for
+    every n up to 18 leave 981 columns and 162 rim tables; those at
+    n = 1, 2, 3, 5 and 11 to 18 leave 979 and 161.
     The column and row memos are shared with the global-class sums, and
     neither calls _mn.
     """
@@ -497,12 +565,13 @@ def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
     classes = an_classes(n)
     if len(reps) != len(classes):
         raise InternalCheckError(f"A_{n} has {len(reps)} irreducibles but {len(classes)} classes")
-    columns = [_column(c.mu) for c in classes]
-    whole: dict[int, QuadValue] = {}
+    _fill_columns([c.mu for c in classes])
+    rows = list(zip(*[_COLUMNS[c.mu] for c in classes]))  # S_n values by shape row
+    whole, half = cache(QuadValue.whole), cache(QuadValue.half)
     values = tuple(
-        tuple(_an_value(r, c, col[i]) for c, col in zip(classes, columns))
+        tuple(_an_value(r, c, v, half) for c, v in zip(classes, row))
         if r.tag
-        else tuple(whole.get(col[i]) or whole.setdefault(col[i], QuadValue.whole(col[i])) for col in columns)
-        for r, i in ((r, _row_of(r.lam)) for r in reps)
+        else tuple(map(whole, row))
+        for r, row in ((r, rows[_row_of(r.lam)]) for r in reps)
     )
     return CharacterTable(n, reps, classes, values)

@@ -19,8 +19,11 @@ gets half its count.  It covers exactly the types whose centralizer
 contains an odd permutation, which includes every type that the
 explicit route's size guard rejects.
 
-The sum reads character values from whole S_n columns, through the
-column memo that the A_n tables share.
+The sum reads character values from whole S_n columns.  _inner_products
+fills the columns of every type in its tally with one
+characters._fill_columns call, so the types of one (size, first part,
+parity) group cost one rim-table pass, into the column memo _COLUMNS
+that the A_n tables share.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .characters import (
     in_alternating,
     _an_value,
     _column,
+    _fill_columns,
     _row_of,
 )
 from .errors import InternalCheckError
@@ -254,6 +258,7 @@ def _inner_products(n: int, tally: Counter) -> dict[AnIrrep, int]:
     sum there; they are of one type, so the radical parts share one D.
     """
     size = sum(tally.values())
+    _fill_columns([t for t, _ in tally])
     whole = [(count, _column(t)) for (t, _), count in tally.items()]
     split = [(AnClass(t, tag), count, _column(t)) for (t, tag), count in tally.items() if tag]
     out = {}

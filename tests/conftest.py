@@ -73,6 +73,14 @@ def an_character(rep, cls):
     return _an_value(rep, cls, mn_character(rep.lam, cls.mu))
 
 
+def suffix_closure(types) -> set:
+    """Every suffix mu[i:] of every type in types, () included: the columns a fill of types leaves."""
+    out = {()}
+    for mu in types:
+        out.update(mu[i:] for i in range(len(mu)))
+    return out
+
+
 def quad_complex(v) -> complex:
     """The complex number (a + b*sqrt(D))/2 that a QuadValue v stands for.
 

@@ -11,6 +11,7 @@ from altchar.characters import (
     QuadValue,
     _beta_mask,
     _column,
+    _fill_columns,
     _mask_degree,
     _mn,
     _rim_hooks,
@@ -38,7 +39,7 @@ from altchar.partitions import (
 )
 from altchar.multiplicity import _power_type, order_of_type, sn_multiplicity_vector
 from altchar.numtheory import divisors
-from conftest import an_character, shape_type_pairs
+from conftest import an_character, shape_type_pairs, suffix_closure
 
 # the symmetric group on 4 points: rows are shapes, columns cycle types
 S4_TYPES = [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
@@ -86,16 +87,51 @@ def test_column_orthogonality_exact(n):
             assert inner == (centralizer_order_sn(mu) if mu == nu else 0)
 
 
-def test_columns_equal_the_recursion():
-    """The column engine agrees with the per-entry recursion on every entry, n <= 14."""
+def test_columns_equal_the_recursion(monkeypatch):
+    """The column engine, one type at a time from an empty memo, agrees with the per-entry recursion, n <= 14."""
+    monkeypatch.setattr(characters, "_COLUMNS", {(): (1,)})
     for n in range(15):
         plist = partitions(n)
         for mu in plist:
             assert list(_column(mu)) == [mn_character(lam, mu) for lam in plist]
 
 
+def test_one_fill_of_every_type_equals_the_recursion(monkeypatch):
+    """From an empty column memo, one _fill_columns call fills all of partitions(n) right, n <= 14."""
+    for n in range(1, 15):
+        monkeypatch.setattr(characters, "_COLUMNS", {(): (1,)})
+        plist = partitions(n)
+        _fill_columns(plist)
+        for mu in plist:
+            assert list(characters._COLUMNS[mu]) == [mn_character(lam, mu) for lam in plist], mu
+
+
+def test_a_mixed_group_equals_its_columns_one_at_a_time(monkeypatch):
+    """Every type of one (n, h), both parities, filled at once and one by one, n = 12, h = 3.
+
+    The odd group meets the self-conjugate rows, whose values there are 0.
+    """
+    n, h = 12, 3
+    group = [mu for mu in partitions(n) if mu[0] == h]
+    assert {(n - len(mu)) % 2 for mu in group} == {0, 1}
+    assert sum(lam == conjugate(lam) for lam in partitions(n)) >= 2
+    monkeypatch.setattr(characters, "_COLUMNS", {(): (1,)})
+    _fill_columns(group)
+    together = {mu: characters._COLUMNS[mu] for mu in group}
+    for mu in group:
+        monkeypatch.setattr(characters, "_COLUMNS", {(): (1,)})
+        _fill_columns([mu])
+        assert characters._COLUMNS[mu] == together[mu], mu
+        assert list(together[mu]) == [mn_character(lam, mu) for lam in partitions(n)], mu
+
+
 def test_transpose_map_pairs_each_row_with_its_conjugate():
-    """Row r maps to the row of conjugate(lam), n <= 20; columns sum exactly the rows of lam >= lam'."""
+    """Row r maps to the row of conjugate(lam), n <= 20; columns sum exactly the rows of lam >= lam'.
+
+    For n <= 12 each kept row's plus and minus fields are the rows, in
+    partitions(n - h), of the shapes its h-rim hooks of sign +1 and -1
+    leave, in hook order.
+    """
     for n in range(21):
         plist = partitions(n)
         row = {lam: r for r, lam in enumerate(plist)}
@@ -104,7 +140,15 @@ def test_transpose_map_pairs_each_row_with_its_conjugate():
         assert twin == tuple(row[conjugate(lam)] for lam in plist)
         kept = [(r, row[conjugate(lam)]) for r, lam in enumerate(plist) if lam >= conjugate(lam)]
         for h in range(1, n + 1):
-            assert [(r, t) for r, t, _ in _rim_table(n, h)] == kept, (n, h)
+            table = _rim_table(n, h)
+            assert [(r, t) for r, t, _, _ in table] == kept, (n, h)
+            if n > 12:
+                continue
+            below = {_beta_mask(lam): i for i, lam in enumerate(partitions(n - h))}
+            for r, _, plus, minus in table:
+                hooks = _rim_hooks(_beta_mask(plist[r]), h)
+                assert plus == tuple(below[s] for sign, s in hooks if sign == 1), (plist[r], h)
+                assert minus == tuple(below[s] for sign, s in hooks if sign == -1), (plist[r], h)
 
 
 def test_a_wrong_transpose_map_is_refused(monkeypatch):
@@ -342,6 +386,23 @@ def test_whole_cells_of_one_value_are_one_object(n):
                 assert first.setdefault(cell.a // 2, cell) is cell
     split_cells = sum(len(row) for rep, row in zip(table.irreps, table.values) if rep.tag)
     assert len({id(cell) for row in table.values for cell in row}) <= len(first) + split_cells
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_a_table_leaves_only_its_class_types_and_their_suffixes(monkeypatch, n):
+    monkeypatch.setattr(characters, "_COLUMNS", {(): (1,)})
+    character_table_an(n)
+    assert set(characters._COLUMNS) == suffix_closure(c.mu for c in an_classes(n))
+
+
+def test_the_seed_1_table_round_leaves_979_columns(monkeypatch):
+    """The tables at n = 1, 2, 3, 5 and 11..18, the perfbench tables round of seed 1."""
+    monkeypatch.setattr(characters, "_COLUMNS", {(): (1,)})
+    sizes = (1, 2, 3, 5, *range(11, 19))
+    for n in sizes:
+        character_table_an(n, bound=n)
+    assert set(characters._COLUMNS) == suffix_closure(c.mu for n in sizes for c in an_classes(n))
+    assert len(characters._COLUMNS) == 979
 
 
 def test_tables_do_not_fill_the_entry_memo():

@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from altchar import perms
+from altchar import characters, perms
 from altchar.characters import (
     AnClass,
     AnIrrep,
@@ -33,7 +33,7 @@ from altchar.global_classes import (
     qualifies,
 )
 from altchar.partitions import centralizer_order_sn, partitions
-from conftest import an_character, compose, inverse
+from conftest import an_character, compose, inverse, suffix_closure
 
 
 def test_qualifies():
@@ -273,6 +273,14 @@ def test_inner_products_equal_per_entry_sums(n):
 @pytest.mark.parametrize("mu", [(1,) * 11, (1,) * 12, (2, 2) + (1,) * 8, (3,) + (1,) * 9])
 def test_distribution_route_equals_per_entry_sums(mu):
     assert assert_inner_products_match_the_entries(mu) == "type-distribution"
+
+
+@pytest.mark.parametrize("mu", [(5, 3), (3, 3, 1, 1), (7, 5, 1), (2, 2) + (1,) * 8, (3,) + (1,) * 9])
+def test_inner_products_leave_only_their_tally_types_and_suffixes(monkeypatch, mu):
+    monkeypatch.setattr(characters, "_COLUMNS", {(): (1,)})
+    _, method = an_inner_products(mu)
+    tally = _explicit_tally(mu) if method == "explicit-centralizer" else _distribution_tally(mu)
+    assert set(characters._COLUMNS) == suffix_closure(t for t, _ in tally)
 
 
 def test_global_does_not_fill_the_entry_memo():
