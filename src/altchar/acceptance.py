@@ -28,8 +28,7 @@ from .characters import (
     an_irreps,
     character_table_an,
     irrep_splits,
-    _beta_mask,
-    _mn,
+    _sn_values,
 )
 from .classify import invariant_failure_an, n_cycle_gaps
 from .global_classes import global_brute_force, is_global_class, qualifies
@@ -148,8 +147,9 @@ def sn_multiplicity_failure(lam: Partition, mu: Partition, entries) -> str | Non
     lam, mu = check_partition(lam), check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError("sizes differ")
-    beta, types = _beta_mask(lam), _power_types(mu)
-    failure = _residue_failure(entries, order_of_type(mu), lambda e: [_mn(beta, types[e])])
+    types = _power_types(mu)
+    chi = dict(zip(types, _sn_values(lam, list(types.values()))))
+    failure = _residue_failure(entries, order_of_type(mu), lambda e: [chi[e]])
     return failure and f"{failure} at lam={lam}, mu={mu}"
 
 

@@ -10,21 +10,25 @@ all-ones suffix (1^k) it stops and returns the degree, which
 _mask_degree reads off the beads by Frobenius' formula
 f = n! * prod over i < j of (b_j - b_i) / prod of b_i!.  Whole columns,
 every shape's value at one cycle type, serve the A_n character tables
-and the global-class sums: _fill_columns builds the columns of many types
-at once into the dict _COLUMNS, which _column reads.  Types that share
+and the character sums over a subgroup: _fill_columns builds the columns
+of many types at once into the dict _COLUMNS.  Types that share
 (n, h = mu[0], parity of n - len(mu)) form one group, with one rim table
 per (n, h) whose rows hold the rows left by each shape's h-rim hooks, split
 by sign; the group's columns are one sparse product, each table row summed
 once over the whole group.  A column sums one row per transpose pair, the
 shape lam >= lam', and writes its transpose's row by the sign twist
 chi^lam'(mu) = sgn(mu) chi^lam(mu).  Callers outside the module hand over
-shapes, never masks.
+shapes and class tallies, never masks, rows or columns.
 
 Restricting to the alternating group, the representation of a
 non-self-conjugate shape stays irreducible (and equals that of its
 transpose), while a self-conjugate shape splits into a plus and a minus
 half; the split halves take values in Z[(1+sqrt(D))/2] for a single
 discriminant D per split class, which QuadValue stores exactly.
+character_table_an and _induced_trivial read each irreducible's S_n row
+from _irrep_rows; _induced_trivial sums the rows over a subgroup H, given
+by its count of elements per A_n class, into each irreducible's
+multiplicity in the trivial character of H induced up to A_n.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 from .partitions import (
     Partition,
@@ -249,19 +253,6 @@ def _fill_columns(types) -> None:
                 rows[t] = tuple(map(neg, row)) if odd else row
         for mu, col in zip(group, zip(*rows)):
             _COLUMNS[mu] = col
-
-
-def _column(mu: Partition) -> tuple[int, ...]:
-    """The values chi^lam(mu) for every lam in partitions(sum(mu)), in that order.
-
-    A lookup in _COLUMNS, which fills a group of one on a miss; callers that
-    need many columns fill them in one _fill_columns call first.
-    """
-    col = _COLUMNS.get(mu)
-    if col is None:
-        _fill_columns((mu,))
-        col = _COLUMNS[mu]
-    return col
 
 
 def mn_character(lam: Partition, mu: Partition) -> int:
@@ -509,6 +500,18 @@ def _an_value(rep: AnIrrep, cls: AnClass, value: int,
     return half(value)
 
 
+def _irrep_rows(n: int, types: list[Partition]) -> list[tuple[AnIrrep, tuple[int, ...]]]:
+    """Each irreducible of A_n with its S_n row: chi^lam at each type in types, in that order.
+
+    One _fill_columns call builds every column, one transpose turns them
+    into rows by shape, and _row_of picks the row of each irreducible's
+    shape; the two halves of a split shape share its row.
+    """
+    _fill_columns(types)
+    rows = list(zip(*[_COLUMNS[mu] for mu in types]))
+    return [(rep, rows[_row_of(rep.lam)]) for rep in an_irreps(n)]
+
+
 @dataclass(frozen=True)
 class CharacterTable:
     """Full character table of an alternating group, exact values.
@@ -541,9 +544,9 @@ TABLE_BOUND = 14
 def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
     """The character table of the alternating group on n points, n <= bound.
 
-    Each class's cell values are read from one whole S_n column, the
-    values of every shape at its cycle type.  One _fill_columns call builds
-    the columns of all the classes from the columns of their suffixes by
+    Each irreducible's cells are read from its S_n row over the classes'
+    cycle types, from _irrep_rows.  Its one _fill_columns call builds the
+    columns of all the classes from the columns of their suffixes by
     the MN rule, one rim-table pass per (n, mu[0], parity) group, summing
     one row per transpose pair.  Whole rows share one QuadValue per
     distinct S_n value, and split rows one QuadValue.half per value, from
@@ -556,7 +559,7 @@ def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
     beta-set mask to row and one transpose map per size.  The tables for
     every n up to 18 leave 981 columns and 162 rim tables; those at
     n = 1, 2, 3, 5 and 11 to 18 leave 979 and 161.
-    The column and row memos are shared with the global-class sums, and
+    The column and row memos are shared with _induced_trivial, and
     neither calls _mn.
     """
     if n > bound:
@@ -565,13 +568,47 @@ def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
     classes = an_classes(n)
     if len(reps) != len(classes):
         raise InternalCheckError(f"A_{n} has {len(reps)} irreducibles but {len(classes)} classes")
-    _fill_columns([c.mu for c in classes])
-    rows = list(zip(*[_COLUMNS[c.mu] for c in classes]))  # S_n values by shape row
     whole, half = cache(QuadValue.whole), cache(QuadValue.half)
     values = tuple(
         tuple(_an_value(r, c, v, half) for c, v in zip(classes, row))
         if r.tag
         else tuple(map(whole, row))
-        for r, row in ((r, rows[_row_of(r.lam)]) for r in reps)
+        for r, row in _irrep_rows(n, [c.mu for c in classes])
     )
     return CharacterTable(n, reps, classes, values)
+
+
+def _induced_trivial(n: int, tally: dict[tuple[Partition, str], int]) -> dict[AnIrrep, int]:
+    """Multiplicity of each irreducible of A_n in the trivial character of H induced up to A_n.
+
+    H is given by its tally: how many of its elements lie in each class,
+    keyed by (cycle type, tag).  By Frobenius reciprocity the multiplicity
+    of chi is (1/|H|) * sum over H of chi.  Each S_n row is summed whole,
+    count * value, in integers.  A split half differs from half that sum
+    only on its own hook type's split classes, so it reads the split-class
+    cells through _an_value and corrects the sum there; they are of one
+    type, so the radical parts share one D.
+    """
+    counts = list(tally.values())
+    size = sum(counts)
+    split = [(j, AnClass(t, tag), count) for j, ((t, tag), count) in enumerate(tally.items()) if tag]
+    out = {}
+    for rep, row in _irrep_rows(n, [t for t, _ in tally]):
+        total = sum(map(mul, counts, row))
+        if rep.tag != TAG_NONE:
+            radical = 0
+            for j, cls, count in split:
+                v = _an_value(rep, cls, row[j])
+                total += count * (v.a - row[j])
+                radical += count * v.b
+            if radical != 0:
+                raise InternalCheckError(f"radical parts did not cancel for {rep.label()}: {radical}")
+            num, rem = divmod(total, 2)
+            if rem != 0:
+                raise InternalCheckError(f"odd character sum {total} for split {rep.label()}")
+            total = num
+        value, rem = divmod(total, size)
+        if rem != 0 or value < 0:
+            raise InternalCheckError(f"inner product not a non-negative integer: {total}/{size}")
+        out[rep] = value
+    return out

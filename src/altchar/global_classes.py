@@ -6,24 +6,19 @@ irreducible.  By Frobenius reciprocity the multiplicity of an irreducible
 chi is (1/|Z|) * sum of chi over the centralizer Z, so the brute-force
 check is a character sum over Z.
 
-The sum is taken once, by _inner_products, over a tally of the even
-centralizer elements by alternating class.  Two routes count the tally.
-The explicit route builds the centralizer elements from its generators
-(one rotation per cycle, block swaps between equal-length cycles) and
-tags each split element by the parity of the word that lays its cycles
-end to end; it is the reference.  The distribution route never touches
-elements: the centralizer is a direct product of wreath products
+The sum itself is characters._induced_trivial, over a tally of the even
+centralizer elements by alternating class; this module builds the
+centralizer, counts the tally and reads the verdict.  Two routes count the
+tally.  The explicit route builds the centralizer elements from its
+generators (one rotation per cycle, block swaps between equal-length
+cycles) and tags each split element by the parity of the word that lays
+its cycles end to end; it is the reference.  The distribution route never
+touches elements: the centralizer is a direct product of wreath products
 C_l wr S_k, whose cycle-type distribution has a classical combinatorial
 description, and _distribution_tally says why each half of a split type
 gets half its count.  It covers exactly the types whose centralizer
 contains an odd permutation, which includes every type that the
 explicit route's size guard rejects.
-
-The sum reads character values from whole S_n columns.  _inner_products
-fills the columns of every type in its tally with one
-characters._fill_columns call, so the types of one (size, first part,
-parity) group cost one rim-table pass, into the column memo _COLUMNS
-that the A_n tables share.
 """
 
 from __future__ import annotations
@@ -39,15 +34,11 @@ from .characters import (
     TAG_NONE,
     TAG_PLUS,
     TAG_MINUS,
-    AnClass,
     AnIrrep,
     an_irreps,
     class_splits,
     in_alternating,
-    _an_value,
-    _column,
-    _fill_columns,
-    _row_of,
+    _induced_trivial,
 )
 from .errors import InternalCheckError
 from .partitions import (
@@ -180,8 +171,13 @@ def _explicit_tally(mu: Partition) -> Counter:
 # the centralizer, by cycle-type distribution
 
 
-def _merge_types(a: Partition, b: Partition) -> Partition:
-    return tuple(sorted(a + b, reverse=True))
+def _convolve(left, right) -> Counter:
+    """The cycle-type distribution of a direct product, from its factors' (type, count) pairs."""
+    out: Counter = Counter()
+    for a, wa in left:
+        for b, wb in right:
+            out[tuple(sorted(a + b, reverse=True))] += wa * wb
+    return out
 
 
 @cache
@@ -202,11 +198,7 @@ def _wreath_type_distribution(length: int, k: int) -> tuple[tuple[Partition, int
             for r in range(length):
                 g = math.gcd(length, r)
                 per_cycle[(c * length // g,) * g] += length ** (c - 1)
-            merged: Counter = Counter()
-            for left, wl in partial.items():
-                for right, wr in per_cycle.items():
-                    merged[_merge_types(left, right)] += wl * wr
-            partial = merged
+            partial = _convolve(partial.items(), per_cycle.items())
         dist.update(partial)
     return tuple(sorted(dist.items()))
 
@@ -215,11 +207,7 @@ def centralizer_type_distribution(mu: Partition) -> dict[Partition, int]:
     """How many centralizer elements of standard_rep(mu) have each cycle type."""
     dist: Counter = Counter({(): 1})
     for length, k in sorted(Counter(mu).items()):
-        merged: Counter = Counter()
-        for left, wl in dist.items():
-            for right, wr in _wreath_type_distribution(length, k):
-                merged[_merge_types(left, right)] += wl * wr
-        dist = merged
+        dist = _convolve(dist.items(), _wreath_type_distribution(length, k))
     if sum(dist.values()) != centralizer_order_sn(mu):
         raise InternalCheckError(f"type distribution of the centralizer of {mu} has the wrong size")
     return dict(dist)
@@ -249,46 +237,11 @@ def _distribution_tally(mu: Partition) -> Counter:
     return tally
 
 
-def _inner_products(n: int, tally: Counter) -> dict[AnIrrep, int]:
-    """Multiplicity of each irreducible in the trivial induced from a tallied centralizer.
-
-    Each row sums count * S_n column value in integers.  A split half
-    differs from half that sum only on its own hook type's split classes,
-    so it reads the split-class cells through _an_value and corrects the
-    sum there; they are of one type, so the radical parts share one D.
-    """
-    size = sum(tally.values())
-    _fill_columns([t for t, _ in tally])
-    whole = [(count, _column(t)) for (t, _), count in tally.items()]
-    split = [(AnClass(t, tag), count, _column(t)) for (t, tag), count in tally.items() if tag]
-    out = {}
-    for rep in an_irreps(n):
-        i = _row_of(rep.lam)
-        total = sum(count * col[i] for count, col in whole)
-        if rep.tag != TAG_NONE:
-            radical = 0
-            for cls, count, col in split:
-                v = _an_value(rep, cls, col[i])
-                total += count * (v.a - col[i])
-                radical += count * v.b
-            if radical != 0:
-                raise InternalCheckError(f"radical parts did not cancel for {rep.label()}: {radical}")
-            num, rem = divmod(total, 2)
-            if rem != 0:
-                raise InternalCheckError(f"odd character sum {total} for split {rep.label()}")
-            total = num
-        value, rem = divmod(total, size)
-        if rem != 0 or value < 0:
-            raise InternalCheckError(f"inner product not a non-negative integer: {total}/{size}")
-        out[rep] = value
-    return out
-
-
 def an_inner_products(mu: Partition) -> tuple[dict[AnIrrep, int], str]:
     """Multiplicities of each irreducible in the induced trivial, plus the route."""
     if class_splits(mu) or centralizer_order_sn(mu) <= _EXPLICIT_LIMIT:
-        return _inner_products(sum(mu), _explicit_tally(mu)), "explicit-centralizer"
-    return _inner_products(sum(mu), _distribution_tally(mu)), "type-distribution"
+        return _induced_trivial(sum(mu), _explicit_tally(mu)), "explicit-centralizer"
+    return _induced_trivial(sum(mu), _distribution_tally(mu)), "type-distribution"
 
 
 def global_brute_force(mu: Partition, bound: int = BRUTE_FORCE_BOUND) -> GlobalVerdict:

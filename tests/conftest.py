@@ -11,7 +11,8 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 import altchar
-from altchar.characters import _an_value, mn_character
+from altchar import characters
+from altchar.characters import _an_value, _fill_columns, mn_character
 from altchar.partitions import conjugate, has_distinct_odd_parts, partitions
 
 
@@ -71,6 +72,16 @@ def an_character(rep, cls):
     if rep.n != cls.n:
         raise ValueError("size mismatch between irreducible and class")
     return _an_value(rep, cls, mn_character(rep.lam, cls.mu))
+
+
+def column(mu) -> tuple:
+    """chi^lam(mu) for every lam in partitions(sum(mu)), in that order: mu filled as a group of one.
+
+    It reads characters._COLUMNS at call time, so a test that swaps in an
+    empty memo sees the fill start from there.
+    """
+    _fill_columns((mu,))
+    return characters._COLUMNS[mu]
 
 
 def suffix_closure(types) -> set:

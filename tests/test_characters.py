@@ -10,7 +10,6 @@ from altchar.characters import (
     AnIrrep,
     QuadValue,
     _beta_mask,
-    _column,
     _fill_columns,
     _mask_degree,
     _mn,
@@ -39,7 +38,7 @@ from altchar.partitions import (
 )
 from altchar.multiplicity import _power_type, order_of_type, sn_multiplicity_vector
 from altchar.numtheory import divisors
-from conftest import an_character, shape_type_pairs, suffix_closure
+from conftest import an_character, column, shape_type_pairs, suffix_closure
 
 # the symmetric group on 4 points: rows are shapes, columns cycle types
 S4_TYPES = [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
@@ -93,7 +92,7 @@ def test_columns_equal_the_recursion(monkeypatch):
     for n in range(15):
         plist = partitions(n)
         for mu in plist:
-            assert list(_column(mu)) == [mn_character(lam, mu) for lam in plist]
+            assert list(column(mu)) == [mn_character(lam, mu) for lam in plist]
 
 
 def test_one_fill_of_every_type_equals_the_recursion(monkeypatch):
@@ -222,7 +221,7 @@ def test_the_leaf_equals_the_identity_column():
     """
     for n in range(15):
         ones = (1,) * n
-        assert [_mn(_beta_mask(lam), ones) for lam in partitions(n)] == list(_column(ones))
+        assert [_mn(_beta_mask(lam), ones) for lam in partitions(n)] == list(column(ones))
 
 
 def test_mn_memo_holds_one_key_per_shape_and_suffix():

@@ -9,7 +9,6 @@ from altchar.characters import (
     TAG_NONE,
     TAG_PLUS,
     AnClass,
-    _column,
     an_classes,
     an_irreps,
     mn_character,
@@ -31,7 +30,7 @@ from altchar.multiplicity import (
 )
 from altchar.numtheory import divisors, euler_phi
 from altchar.partitions import partitions, phi
-from conftest import an_character, quad_complex
+from conftest import an_character, column, quad_complex
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -76,7 +75,7 @@ def invariant_counts(n: int) -> dict:
         m = order_of_type(mu)
         total = [0] * len(partitions(n))
         for d in divisors(m):
-            for r, chi in enumerate(_column(_power_type(mu, d))):
+            for r, chi in enumerate(column(_power_type(mu, d))):
                 total[r] += euler_phi(m // d) * chi
         assert all(t % m == 0 for t in total), mu
         out[mu] = [t // m for t in total]

@@ -12,7 +12,7 @@ import pytest
 from jsonschema import validate
 
 import altchar
-from altchar import global_classes
+from altchar import characters
 from altchar.acceptance import ALL_CRITERIA
 from altchar.characters import QuadValue, class_splits, irrep_splits
 from altchar.cli import main
@@ -228,7 +228,7 @@ def test_selftest_checks_survive_optimized_mode():
 
 def test_irrational_inner_product_exits_1(monkeypatch):
     """A character sum whose radical parts fail to cancel is an internal fault."""
-    monkeypatch.setattr(global_classes, "_an_value", lambda rep, cls, value: QuadValue(1, 1, 5))
+    monkeypatch.setattr(characters, "_an_value", lambda rep, cls, value: QuadValue(1, 1, 5))
     code, out, err = run_cli("global", "--mu", "5,3", "--verify")  # tally holds (5,3):+ and (5,3):-
     assert code == 1
     assert out == ""

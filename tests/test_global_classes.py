@@ -10,6 +10,7 @@ from altchar import characters, perms
 from altchar.characters import (
     AnClass,
     AnIrrep,
+    _induced_trivial,
     _mn,
     an_classes,
     an_irreps,
@@ -24,7 +25,6 @@ from altchar.global_classes import (
     _EXPLICIT_LIMIT,
     _distribution_tally,
     _explicit_tally,
-    _inner_products,
     an_inner_products,
     centralizer_elements,
     centralizer_type_distribution,
@@ -189,7 +189,7 @@ def test_inner_products_routes_agree():
     """The explicit enumeration and the type-distribution route must coincide."""
     for mu in [(2, 2), (4, 2), (2, 2, 1, 1), (3, 3), (6, 2), (4, 4)]:
         explicit, _ = an_inner_products(mu)
-        assert explicit == _inner_products(sum(mu), _distribution_tally(mu))
+        assert explicit == _induced_trivial(sum(mu), _distribution_tally(mu))
     # The distribution tally rests on an odd centralizer element swapping
     # the halves of every split class; the enumeration checks that directly.
     checked = 0

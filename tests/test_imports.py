@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 public function and method has a caller, no module touches floating
 point or holds an assert statement, the engines never call a checked
-partition entry point, and importing the CLI loads no decimal arithmetic.
+partition entry point, no module but characters reads its masks, rows or
+column memo, and importing the CLI loads no decimal arithmetic.
 
 The package's __init__ imports names to re-export them and is left out of
 the unused-import scan.
@@ -110,15 +111,15 @@ CHECKED = {"conjugate", "dimension", "phi", "has_distinct_odd_parts", "cycle_typ
 ENGINES = ["characters", "multiplicity", "global_classes", "classify"]
 
 
-def _checked_reads(source: str) -> list[str]:
-    """Each import or read of a checked partitions entry point in source."""
+def _reads(source: str, names: set[str]) -> list[str]:
+    """Each import or read, bare or as an attribute, of one of names in source."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
-            found += [(node.lineno, alias.name) for alias in node.names if alias.name in CHECKED]
-        elif isinstance(node, ast.Name) and node.id in CHECKED:
+            found += [(node.lineno, alias.name) for alias in node.names if alias.name in names]
+        elif isinstance(node, ast.Name) and node.id in names:
             found.append((node.lineno, node.id))
-        elif isinstance(node, ast.Attribute) and node.attr in CHECKED:
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             found.append((node.lineno, node.attr))
     return [f"{name} (line {line})" for line, name in sorted(found)]
 
@@ -127,7 +128,7 @@ def _checked_reads(source: str) -> list[str]:
 def test_engines_call_the_trusted_kernels(module):
     """Below the boundary a partition is trusted: the engines call _conjugate,
     _dimension, _phi and _distinct_odd, never the entry points that check again."""
-    assert _checked_reads((PACKAGE / f"{module}.py").read_text()) == []
+    assert _reads((PACKAGE / f"{module}.py").read_text(), CHECKED) == []
 
 
 def test_the_scan_flags_a_checked_read():
@@ -135,12 +136,36 @@ def test_the_scan_flags_a_checked_read():
         "from .partitions import _conjugate, conjugate\n"
         "x = conjugate((2,))\ny = P.dimension(x)\nz = _conjugate(x) + _phi(x)\nw = phi\n"
     )
-    assert _checked_reads(source) == [
+    assert _reads(source, CHECKED) == [
         "conjugate (line 1)",
         "conjugate (line 2)",
         "dimension (line 3)",
         "phi (line 5)",
     ]
+
+
+COLUMN_INTERNALS = {
+    "_COLUMNS", "_fill_columns", "_row_of", "_row_index", "_rim_table", "_rim_hooks",
+    "_beta_mask", "_transpose_mask", "_mask_degree", "_mn",
+}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "characters"], ids=lambda p: p.stem
+)
+def test_only_characters_reads_masks_rows_and_columns(path):
+    """Beta-set masks, shape rows and the column memo stay inside characters:
+    other modules hand over shapes and class tallies, and read values back."""
+    assert _reads(path.read_text(), COLUMN_INTERNALS) == []
+
+
+def test_the_scan_flags_a_column_internal():
+    source = (
+        "from .characters import _sn_values, _mn\n"
+        "from . import characters\n"
+        "x = characters._COLUMNS[(2,)]\ny = _mn(6, (2,)) + _sn_values((2,), [(2,)])[0]\n"
+    )
+    assert _reads(source, COLUMN_INTERNALS) == ["_mn (line 1)", "_COLUMNS (line 3)", "_mn (line 4)"]
 
 
 def _public_definitions(tree: ast.Module) -> list[tuple[str, str]]:
