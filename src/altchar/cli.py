@@ -9,6 +9,11 @@ failure, 2 bad input, 141 when stdout is closed before the output is written.
 Every partition-valued option (--irrep, --class, --mu) is read by
 characters.parse_label and validated once, in _operands, before any
 engine runs.
+
+main(argv) can be called again and again in one process, as the tests and
+the benchmark do: it builds its parser once, on the first call (not at
+import), and no option, default or output format carries over from one
+call to the next.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from .acceptance import ALL_CRITERIA, run_criteria
 from .characters import (
@@ -354,7 +360,14 @@ def _cmd_selftest(args) -> Output:
 # parser and dispatch
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one argument parser of the process, built on the first call.
+
+    Argparse reads sys.stdout, sys.stderr and the terminal width when it
+    prints, not when it is built, and parse_args returns a fresh Namespace
+    each time, so every main call can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="altchar",
         description="Eigenvalue multiplicities and split characters of alternating groups.",

@@ -254,10 +254,11 @@ def global_brute_force(mu: Partition, bound: int = BRUTE_FORCE_BOUND) -> GlobalV
     inner, method = an_inner_products(mu)
     if inner[an_irreps(sum(mu))[0]] < 1:
         raise InternalCheckError(f"the trivial irreducible is missed at {mu}")
-    rep, least = min(inner.items(), key=lambda kv: (kv[1], kv[0].label()))
+    least = min(inner.values())
+    rep = min((r for r, v in inner.items() if v == least), key=AnIrrep.label)
     return GlobalVerdict(
         mu,
-        all(v >= 1 for v in inner.values()),
+        least >= 1,
         "global:character-sums",
         method,
         (rep.label(), least),

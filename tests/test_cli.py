@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from jsonschema import validate
 
 import altchar
-from altchar import characters
+from altchar import characters, cli
 from altchar.acceptance import ALL_CRITERIA
 from altchar.characters import QuadValue, class_splits, irrep_splits
 from altchar.cli import main
@@ -212,6 +213,79 @@ def test_closed_stdout_exits_141():
     )
     assert code == 141, err
     assert "Traceback" not in err
+
+
+# --- one parser, many calls ------------------------------------------------
+
+
+def _golden(name: str) -> tuple[int, str, str]:
+    return 0, (GOLDEN_DIR / name).read_text(), ""
+
+
+def test_the_parser_is_built_once_on_the_first_call():
+    """Import builds no parser; the first main call builds the top-level one
+    and one per subcommand (ten), and later calls build none."""
+    assert cli.build_parser() is cli.build_parser()
+    script = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import altchar.cli
+at_import = len(built)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [altchar.cli.main(argv) for argv in (["swanson", "--n", "6"], ["bias", "--mu", "3,a"], ["frobnicate"])]
+print(at_import, len(built), codes)
+"""
+    src = str(Path(altchar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 10 [0, 2, 2]\n"
+
+
+@pytest.mark.parametrize(
+    "first, name",
+    [
+        (["--format", "json", "chartable", "--n", "5"], "chartable_n5.txt"),
+        (["--format", "json", "global", "--mu", "4,4", "--verify"], "global_44.json"),
+        (["--format", "json", "eigmult", "--group", "sn", "--irrep", "4,3", "--class", "5,2", "--i", "3"],
+         "eigmult_sn_43_52.csv"),
+        (["--timing", "--format", "csv", "bias", "--mu", "15,9,3"], "bias_15_9_3_i9.json"),
+    ],
+    ids=["format", "verify", "index", "timing"],
+)
+def test_options_do_not_carry_over(first, name):
+    assert run_cli(*first)[0] == 0
+    assert run_cli(*GOLDEN_CASES[name]) == _golden(name)
+
+
+def test_unsafe_bounds_do_not_carry_over():
+    assert run_cli("--format", "csv", "--unsafe-bounds", "chartable", "--n", "15")[0] == 0
+    code, out, err = run_cli("chartable", "--n", "15")
+    assert (code, out) == (2, "") and "--unsafe-bounds" in err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["bias", "--mu", "3,a"], ["frobnicate"], ["bias"], ["--format", "xml", "swanson", "--n", "6"]],
+    ids=["handler-error", "unknown-subcommand", "missing-option", "bad-choice"],
+)
+def test_a_bad_call_leaves_the_next_one_intact(bad):
+    code, out, err = run_cli(*bad)
+    assert (code, out) == (2, "") and "error:" in err
+    assert run_cli(*GOLDEN_CASES["bias_15_9_3_i9.json"]) == _golden("bias_15_9_3_i9.json")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["global", "--help"]], ids=["top", "subcommand"])
+def test_help_then_a_normal_call(argv):
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "") and out.startswith("usage: altchar")
+    assert run_cli(*argv) == (code, out, err)
+    assert run_cli(*GOLDEN_CASES["swanson_n6.json"]) == _golden("swanson_n6.json")
 
 
 def test_selftest_checks_survive_optimized_mode():

@@ -303,6 +303,18 @@ def test_witness_for_5_3():
     assert verdict.witness == ("4,4", 0)
 
 
+def test_witness_is_the_least_label_at_the_least_multiplicity():
+    """Ties are common here: at (1^7) eight irreducibles share multiplicity 0."""
+    for n in range(1, 8):
+        for mu in partitions(n):
+            if not in_alternating(mu):
+                continue
+            inner, _ = an_inner_products(mu)
+            least = min(inner.values())
+            labels = sorted(rep.label() for rep, v in inner.items() if v == least)
+            assert global_brute_force(mu).witness == (labels[0], least), mu
+
+
 def test_brute_force_bound():
     with pytest.raises(ValueError):
         global_brute_force((13, 9, 3))

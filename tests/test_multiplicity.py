@@ -289,6 +289,30 @@ def test_power_conjugacy_rejects():
         power_conjugacy((3, 3), 1)  # class does not split
 
 
+def test_power_conjugacy_is_conjugator_parity_through_weight_14():
+    """Every coprime power of every split type of weight <= 14.
+
+    (9,3) is the first type whose order m = 9 and part product M = 27 give
+    different Jacobi symbols, (2 | 9) = 1 against (2 | 27) = -1, so a
+    verdict that read the order instead of M would fail there.
+    """
+    checked = 0
+    for n in range(1, 15):
+        for mu in partitions(n):
+            if not has_distinct_odd_parts(mu):
+                continue
+            m = order_of_type(mu)
+            w = perms.standard_rep(mu)
+            for i in range(1, m + 1):
+                if math.gcd(i, m) != 1:
+                    continue
+                rho = perms.conjugator(w, perms.perm_power(w, i))
+                expected = "same" if perms.sign(rho) == 1 else "swapped"
+                assert power_conjugacy(mu, i) == expected, (mu, i)
+                checked += 1
+    assert checked == 225
+
+
 @given(distinct_odd_types, st.data())
 def test_power_conjugacy_matches_explicit_conjugators(mu, data):
     assume(sum(mu) <= 11)
