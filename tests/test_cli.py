@@ -1,4 +1,3 @@
-import argparse
 import csv
 import io
 import json
@@ -218,6 +217,12 @@ def test_closed_stdout_exits_141():
 # --- one parser, many calls ------------------------------------------------
 
 
+def _env_with_src() -> dict:
+    """The environment with this checkout's altchar first on PYTHONPATH, for child interpreters."""
+    src = str(Path(altchar.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _golden(name: str) -> tuple[int, str, str]:
     return 0, (GOLDEN_DIR / name).read_text(), ""
 
@@ -231,7 +236,7 @@ import argparse, contextlib, io
 built = []
 init = argparse.ArgumentParser.__init__
 def counting_init(self, *args, **kwargs):
-    built.append(kwargs.get("prog"))
+    built.append(self)
     init(self, *args, **kwargs)
 argparse.ArgumentParser.__init__ = counting_init
 import altchar.cli
@@ -240,8 +245,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     codes = [altchar.cli.main(argv) for argv in (["swanson", "--n", "6"], ["bias", "--mu", "3,a"], ["frobnicate"])]
 print(at_import, len(built), codes)
 """
-    src = str(Path(altchar.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _env_with_src()
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 10 [0, 2, 2]\n"
@@ -290,8 +294,7 @@ def test_help_then_a_normal_call(argv):
 
 def test_selftest_checks_survive_optimized_mode():
     """Exactness checks raise InternalCheckError, so -O strips none of them."""
-    src = str(Path(altchar.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _env_with_src()
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "altchar.cli", "--format", "json", "selftest"],
         capture_output=True, text=True, env=env, timeout=300,
