@@ -10,10 +10,11 @@ Every partition-valued option (--irrep, --class, --mu) is read by
 characters.parse_label and validated once, in _operands, before any
 engine runs.
 
-main(argv) can be called again and again in one process, as the tests and
-the benchmark do: it builds its parser once, on the first call (not at
-import), and no option, default or output format carries over from one
-call to the next.
+main(argv) can be called again and again in one process: it builds its
+parser once, on the first call (not at import), and no option, default or
+output format carries over from one call to the next.  Only the second and
+later calls in a process skip the build; the altchar console script calls
+main once per process, so each shell run still builds the parser.
 """
 
 from __future__ import annotations

@@ -178,6 +178,8 @@ def test_size_guard_and_override():
     assert code == 0
     entries = json.loads(out)["results"]["entries"]
     assert entries[0] == 1 and sum(entries) == 1
+    code, out, err = run_cli(*over)  # the override does not carry over
+    assert (code, out) == (2, "") and "--unsafe-bounds" in err
 
 
 def test_table_guard():
@@ -265,12 +267,6 @@ print(at_import, len(built), codes)
 def test_options_do_not_carry_over(first, name):
     assert run_cli(*first)[0] == 0
     assert run_cli(*GOLDEN_CASES[name]) == _golden(name)
-
-
-def test_unsafe_bounds_do_not_carry_over():
-    assert run_cli("--format", "csv", "--unsafe-bounds", "chartable", "--n", "15")[0] == 0
-    code, out, err = run_cli("chartable", "--n", "15")
-    assert (code, out) == (2, "") and "--unsafe-bounds" in err
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from altchar import perms
 from altchar.acceptance import bias_failure, cyclotomic_polynomial, sn_multiplicity_failure
@@ -289,8 +289,8 @@ def test_power_conjugacy_rejects():
         power_conjugacy((3, 3), 1)  # class does not split
 
 
-def test_power_conjugacy_is_conjugator_parity_through_weight_14():
-    """Every coprime power of every split type of weight <= 14.
+def test_power_conjugacy_matches_explicit_conjugators():
+    """Every coprime power of every split type of weight <= 14 (225 powers).
 
     (9,3) is the first type whose order m = 9 and part product M = 27 give
     different Jacobi symbols, (2 | 9) = 1 against (2 | 27) = -1, so a
@@ -298,9 +298,7 @@ def test_power_conjugacy_is_conjugator_parity_through_weight_14():
     """
     checked = 0
     for n in range(1, 15):
-        for mu in partitions(n):
-            if not has_distinct_odd_parts(mu):
-                continue
+        for mu in _distinct_odd_types(n):
             m = order_of_type(mu)
             w = perms.standard_rep(mu)
             for i in range(1, m + 1):
@@ -311,15 +309,3 @@ def test_power_conjugacy_is_conjugator_parity_through_weight_14():
                 assert power_conjugacy(mu, i) == expected, (mu, i)
                 checked += 1
     assert checked == 225
-
-
-@given(distinct_odd_types, st.data())
-def test_power_conjugacy_matches_explicit_conjugators(mu, data):
-    assume(sum(mu) <= 11)
-    m = order_of_type(mu)
-    units = [i for i in range(1, m + 1) if math.gcd(i, m) == 1]
-    i = data.draw(st.sampled_from(units))
-    w = perms.standard_rep(mu)
-    rho = perms.conjugator(w, perms.perm_power(w, i))
-    expected = "same" if perms.sign(rho) == 1 else "swapped"
-    assert power_conjugacy(mu, i) == expected
