@@ -284,14 +284,14 @@ def _criterion_6() -> tuple[bool, str]:
 
 
 def _criterion_7() -> tuple[bool, str]:
-    """Global classes: closed form equals brute force through weight 16."""
+    """Global classes: closed form equals brute force through weight 20."""
     checked = 0
-    for n in range(2, 17):
+    for n in range(2, 21):
         for mu in partitions(n):
             if not qualifies(mu):
                 continue
             closed = is_global_class(mu)
-            brute = global_brute_force(mu, bound=16)
+            brute = global_brute_force(mu, bound=20)
             if closed.is_global != brute.is_global:
                 return False, f"verdicts differ at mu={mu}"
             checked += 1
@@ -304,7 +304,7 @@ def _criterion_7() -> tuple[bool, str]:
     for mu in ((7, 1), (5, 5), (5, 3, 1), (7, 3, 1)):
         if not global_brute_force(mu).is_global:
             return False, f"{mu} should be global"
-    return True, f"{checked} qualifying types, weights <= 16; named cases confirmed"
+    return True, f"{checked} qualifying types, weights <= 20; named cases confirmed"
 
 
 def _inner_product(weights, xs, ys) -> tuple[int, dict[int, int]]:

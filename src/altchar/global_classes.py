@@ -8,13 +8,15 @@ check is a character sum over Z.
 
 The sum itself is characters._induced_trivial, over a tally of the even
 centralizer elements by alternating class; this module builds the
-centralizer, counts the tally and reads the verdict.  Two routes count the
-tally.  The explicit route builds the centralizer elements from its
-generators (one rotation per cycle, block swaps between equal-length
-cycles) and tags each split element by the parity of the word that lays
-its cycles end to end; it is the reference.  The distribution route never
-touches elements: the centralizer is a direct product of wreath products
-C_l wr S_k, whose cycle-type distribution has a classical combinatorial
+centralizer, counts the tally and reads the verdict.  The centralizer is a
+direct product of wreath products C_l wr S_k, one per family of k cycles of
+length l, and two routes count the tally.  The explicit route walks the
+elements of each factor once (one rotation per cycle, block swaps between
+equal-length cycles), groups them by cycle type and multiplies the group
+sizes; only the elements of a split type are built across factors, each
+tagged by the parity of the word that lays its cycles end to end.  It is
+the reference.  The distribution route never touches elements: each
+factor's cycle-type distribution has a classical combinatorial
 description, and _distribution_tally says why each half of a split type
 gets half its count.  It covers exactly the types whose centralizer
 contains an odd permutation, which includes every type that the
@@ -27,6 +29,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 
@@ -43,6 +46,7 @@ from .characters import (
 from .errors import InternalCheckError
 from .partitions import (
     Partition,
+    _distinct_odd,
     centralizer_order_sn,
     check_partition,
     format_partition,
@@ -102,68 +106,72 @@ def is_global_class(mu: Partition) -> GlobalVerdict:
 # the centralizer, explicitly
 
 
-def centralizer_elements(mu: Partition) -> list[perms.Perm]:
-    """All permutations commuting with standard_rep(mu), by direct product.
+def _factor_groups(length: int, k: int, offset: int) -> list[tuple[Partition, int, list | None]]:
+    """The elements of C_length wr S_k, grouped by cycle type.
 
-    Per family of k cycles of common length l the factor is C_l wr S_k:
-    an independent rotation of each cycle and a permutation of the blocks.
-    The route dispatch in an_inner_products sends only centralizers of at
-    most _EXPLICIT_LIMIT elements here.
+    Each element is a word on the factor's own length*k points: block j,
+    the points j*length onwards, goes to block arrangement[j] with its own
+    rotation.  Each group is (type, count, elements).  Only a type with
+    distinct odd parts can be part of a split type, so only such a group
+    keeps its elements, each as its cycles by decreasing length, shifted
+    by offset onto the factor's points in standard_rep(mu); every other
+    group keeps None.
+    """
+    blocks = [[tuple(b * length + (t + r) % length for t in range(length)) for r in range(length)]
+              for b in range(k)]
+    groups: dict[Partition, list] = {}
+    for arrangement in iter_permutations(range(k)):
+        for rotated in iter_product(*[blocks[b] for b in arrangement]):
+            cs = perms.cycles(tuple(chain.from_iterable(rotated)))
+            t = tuple(sorted(map(len, cs), reverse=True))
+            group = groups.get(t)
+            if group is None:
+                group = groups[t] = [t, 0, [] if _distinct_odd(t) else None]
+            group[1] += 1
+            if group[2] is not None:
+                cs.sort(key=len, reverse=True)
+                group[2].append([tuple(x + offset for x in c) for c in cs] if offset else cs)
+    return [tuple(group) for group in groups.values()]
+
+
+def _explicit_tally(mu: Partition) -> Counter:
+    """Even centralizer elements per (cycle type, tag) key, one factor at a time.
+
+    The centralizer of standard_rep(mu) is the direct product of one
+    C_l wr S_k per family of k cycles of length l.  Each factor's elements
+    are walked once and grouped by cycle type (_factor_groups), and one
+    group per factor gives a type, counted by the product of the group
+    sizes.  A split type has one cycle of each length, so its groups kept
+    their elements, and each element of their product is tagged on its
+    own.  Laying its cycles end to end by decreasing length gives the word
+    of the conjugator that carries standard_rep of its type onto it, cycle
+    onto cycle, each from its smallest point.  The element lies in the
+    plus class, the one of standard_rep, exactly when that word is even.
     """
     order = centralizer_order_sn(mu)
     if order > _EXPLICIT_LIMIT:
         raise InternalCheckError(f"centralizer order {order} exceeds {_EXPLICIT_LIMIT}")
-    n = sum(mu)
-    blocks: dict[int, list[list[int]]] = {}
-    start = 0
-    for part in mu:
-        blocks.setdefault(part, []).append(list(range(start, start + part)))
-        start += part
-
-    factor_choices = []
-    for length, family in blocks.items():
-        k = len(family)
-        choices = []
-        for arrangement in iter_permutations(range(k)):
-            for rotations in iter_product(range(length), repeat=k):
-                choices.append((family, arrangement, rotations, length))
-        factor_choices.append(choices)
-
-    out = []
-    for combo in iter_product(*factor_choices):
-        images = [0] * n
-        for family, arrangement, rotations, length in combo:
-            for j, block in enumerate(family):
-                target = family[arrangement[j]]
-                r = rotations[j]
-                for t in range(length):
-                    images[block[t]] = target[(t + r) % length]
-        out.append(tuple(images))
-    if len(out) != order:
-        raise InternalCheckError(f"built {len(out)} centralizer elements for {mu}, expected {order}")
-    return out
-
-
-def _explicit_tally(mu: Partition) -> Counter:
-    """Even centralizer elements per (cycle type, tag) key, tagged one by one.
-
-    A split type has one cycle of each length, so laying an element's
-    cycles end to end by decreasing length gives the word of the
-    conjugator that carries standard_rep of its type onto it, cycle onto
-    cycle, each from its smallest point.  The element lies in the plus
-    class, the one of standard_rep, exactly when that word is even.
-    """
+    factors = []
+    offset = 0
+    for length, k in Counter(mu).items():
+        factors.append(_factor_groups(length, k, offset))
+        offset += length * k
     tally: Counter = Counter()
-    for g in centralizer_elements(mu):
-        cs = sorted(perms.cycles(g), key=len, reverse=True)
-        t = tuple(len(c) for c in cs)
+    counted = 0
+    for combo in iter_product(*factors):
+        t = tuple(sorted(chain.from_iterable(group[0] for group in combo), reverse=True))
+        size = math.prod(group[1] for group in combo)
+        counted += size
         if not in_alternating(t):
             continue
-        if class_splits(t):
-            word = tuple(x for c in cs for x in c)
+        if not class_splits(t):
+            tally[t, TAG_NONE] += size
+            continue
+        for element in iter_product(*[group[2] for group in combo]):
+            word = tuple(chain.from_iterable(sorted(chain.from_iterable(element), key=len, reverse=True)))
             tally[t, TAG_PLUS if perms.sign(word) == 1 else TAG_MINUS] += 1
-        else:
-            tally[t, TAG_NONE] += 1
+    if counted != order:
+        raise InternalCheckError(f"counted {counted} centralizer elements for {mu}, expected {order}")
     return tally
 
 
@@ -189,16 +197,19 @@ def _wreath_type_distribution(length: int, k: int) -> tuple[tuple[Partition, int
     cycles of size c*length/gcd(length, r), and the number of rotation
     vectors along the c-cycle with a given sum is length**(c-1).
     """
+    per_cycle = {}
+    for c in range(1, k + 1):
+        counts: Counter = Counter()
+        for r in range(length):
+            g = math.gcd(length, r)
+            counts[(c * length // g,) * g] += length ** (c - 1)
+        per_cycle[c] = counts.items()
     dist: Counter = Counter()
     for kappa in partitions(k):
         weight = math.factorial(k) // centralizer_order_sn(kappa)
         partial: Counter = Counter({(): weight})
         for c in kappa:
-            per_cycle: Counter = Counter()
-            for r in range(length):
-                g = math.gcd(length, r)
-                per_cycle[(c * length // g,) * g] += length ** (c - 1)
-            partial = _convolve(partial.items(), per_cycle.items())
+            partial = _convolve(partial.items(), per_cycle[c])
         dist.update(partial)
     return tuple(sorted(dist.items()))
 

@@ -4,7 +4,8 @@ A permutation is a tuple ``w`` where ``w[x]`` is the image of ``x``, so
 the helpers below stay tuple-in, tuple-out and need no classes.
 
 Three production paths use explicit permutations: the explicit centralizer
-route of global_classes (cycles and sign), acceptance.sn_multiplicity_failure
+route of global_classes (cycles of each centralizer factor's elements, and
+the sign of each split element's word), acceptance.sn_multiplicity_failure
 (the cycle type of each power w**(m/e)), and acceptance criterion 6 (power
 conjugacy by conjugator parity), the one production caller of conjugator.
 """

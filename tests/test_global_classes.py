@@ -2,7 +2,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -26,7 +26,6 @@ from altchar.global_classes import (
     _distribution_tally,
     _explicit_tally,
     an_inner_products,
-    centralizer_elements,
     centralizer_type_distribution,
     global_brute_force,
     is_global_class,
@@ -54,6 +53,38 @@ def test_closed_form_exceptions():
 
 
 # --- the centralizer -----------------------------------------------------------
+
+
+def centralizer_elements(mu):
+    """All permutations commuting with standard_rep(mu), by direct product.
+
+    Per family of k cycles of common length l the factor is C_l wr S_k:
+    an independent rotation of each cycle and a permutation of the blocks.
+    Every element is built whole on all n points; the oracle behind
+    conjugator_tally, apart from _explicit_tally's factor-by-factor walk.
+    """
+    n = sum(mu)
+    blocks = {}
+    start = 0
+    for part in mu:
+        blocks.setdefault(part, []).append(list(range(start, start + part)))
+        start += part
+    factor_choices = [
+        [(family, arrangement, rotations, length)
+         for arrangement in permutations(range(len(family)))
+         for rotations in product(range(length), repeat=len(family))]
+        for length, family in blocks.items()
+    ]
+    out = []
+    for combo in product(*factor_choices):
+        images = [0] * n
+        for family, arrangement, rotations, length in combo:
+            for j, block in enumerate(family):
+                target = family[arrangement[j]]
+                for t in range(length):
+                    images[block[t]] = target[(t + rotations[j]) % length]
+        out.append(tuple(images))
+    return out
 
 
 @pytest.mark.parametrize("mu", [(3,), (5, 3), (3, 3), (2, 2, 1), (4, 2), (3, 1, 1)])
@@ -147,28 +178,45 @@ def explicit_types(n):
     return [mu for mu in partitions(n) if in_alternating(mu) and centralizer_order_sn(mu) <= _EXPLICIT_LIMIT]
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+def conjugator_tag_types(n):
+    """The types whose explicit tally is checked against conjugator_tally.
+
+    Every type the explicit route takes up to n = 10, and beyond it the
+    qualifying types, which the benchmark's explicit route serves to n = 18.
+    """
+    return explicit_types(n) if n <= 10 else [mu for mu in partitions(n) if qualifies(mu)]
+
+
+@pytest.mark.parametrize("n", range(1, 19))
 def test_explicit_tally_equals_the_conjugator_tags(n):
-    """Every even type on n points that the explicit route takes, against conjugator_tally.
+    """Every type of conjugator_tag_types(n) against conjugator_tally.
 
     (9,) and (9, 1) put all six unit rotations of the 9-cycle in the plus
-    class, so a flipped tag or a reversed cycle order shows there.
+    class, so a flipped tag or a reversed cycle order shows there.  Past
+    n = 10 the split types (7, 5, 3, 1) and (9, 5, 3, 1) take each tagged
+    element from four factors, laid end to end.
     """
-    for mu in explicit_types(n):
+    for mu in conjugator_tag_types(n):
         assert _explicit_tally(mu) == conjugator_tally(mu), mu
 
 
 def test_conjugator_tag_check_leaves_out_only_the_identities():
-    """Of the even types with n <= 10, only (1^9) and (1^10) are past _EXPLICIT_LIMIT."""
+    """Of the even types with n <= 10, only (1^9) and (1^10) are past _EXPLICIT_LIMIT.
+
+    The check covers all 83 qualifying types with n <= 18.
+    """
     left_out = [mu for n in range(1, 11) for mu in partitions(n) if in_alternating(mu) and mu not in explicit_types(n)]
     assert left_out == [(1,) * 9, (1,) * 10]
     assert sum(len(explicit_types(n)) for n in range(1, 11)) == 73
+    qualifying = [mu for n in range(1, 19) for mu in partitions(n) if qualifies(mu)]
+    assert len(qualifying) == 83
+    assert all(mu in conjugator_tag_types(sum(mu)) for mu in qualifying)
 
 
 def test_route_preconditions_are_internal_errors():
     """The route dispatch keeps both unreachable; a bug that breaks it is no bad input."""
     with pytest.raises(InternalCheckError):
-        centralizer_elements((1,) * 10)  # 10! elements, past the explicit limit
+        _explicit_tally((1,) * 10)  # 10! elements, past the explicit limit
     with pytest.raises(InternalCheckError):
         _distribution_tally((5, 3))  # split type: no odd centralizer element
 
