@@ -106,12 +106,12 @@ def is_global_class(mu: Partition) -> GlobalVerdict:
 # the centralizer, explicitly
 
 
-def _factor_groups(length: int, k: int, offset: int) -> list[tuple[Partition, int, list | None]]:
+def _factor_groups(length: int, k: int, offset: int) -> list[list]:
     """The elements of C_length wr S_k, grouped by cycle type.
 
     Each element is a word on the factor's own length*k points: block j,
     the points j*length onwards, goes to block arrangement[j] with its own
-    rotation.  Each group is (type, count, elements).  Only a type with
+    rotation.  Each group is [type, count, elements].  Only a type with
     distinct odd parts can be part of a split type, so only such a group
     keeps its elements, each as its cycles by decreasing length, shifted
     by offset onto the factor's points in standard_rep(mu); every other
@@ -131,7 +131,7 @@ def _factor_groups(length: int, k: int, offset: int) -> list[tuple[Partition, in
             if group[2] is not None:
                 cs.sort(key=len, reverse=True)
                 group[2].append([tuple(x + offset for x in c) for c in cs] if offset else cs)
-    return [tuple(group) for group in groups.values()]
+    return list(groups.values())
 
 
 def _explicit_tally(mu: Partition) -> Counter:
@@ -159,15 +159,16 @@ def _explicit_tally(mu: Partition) -> Counter:
     tally: Counter = Counter()
     counted = 0
     for combo in iter_product(*factors):
-        t = tuple(sorted(chain.from_iterable(group[0] for group in combo), reverse=True))
-        size = math.prod(group[1] for group in combo)
+        types, sizes, kept = zip(*combo)
+        t = tuple(sorted(chain.from_iterable(types), reverse=True))
+        size = math.prod(sizes)
         counted += size
         if not in_alternating(t):
             continue
         if not class_splits(t):
             tally[t, TAG_NONE] += size
             continue
-        for element in iter_product(*[group[2] for group in combo]):
+        for element in iter_product(*kept):
             word = tuple(chain.from_iterable(sorted(chain.from_iterable(element), key=len, reverse=True)))
             tally[t, TAG_PLUS if perms.sign(word) == 1 else TAG_MINUS] += 1
     if counted != order:

@@ -60,8 +60,9 @@ def centralizer_elements(mu):
 
     Per family of k cycles of common length l the factor is C_l wr S_k:
     an independent rotation of each cycle and a permutation of the blocks.
-    Every element is built whole on all n points; the oracle behind
-    conjugator_tally, apart from _explicit_tally's factor-by-factor walk.
+    Every element is built whole on all n points, independently of
+    _explicit_tally's factor-by-factor walk: this is the oracle behind
+    conjugator_tally.
     """
     n = sum(mu)
     blocks = {}
