@@ -175,11 +175,6 @@ def _row_index(n: int) -> tuple[dict[int, int], tuple[int, ...]]:
     return index, twin
 
 
-def _row_of(lam: Partition) -> int:
-    """The row of lam in a column of size sum(lam)."""
-    return _row_index(sum(lam))[0][_beta_mask(lam)]
-
-
 @cache
 def _rim_table(n: int, h: int) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
     """For each row r of partitions(n) with lam >= lam': (r, twin[r], plus, minus).
@@ -390,11 +385,25 @@ class AnIrrep:
         return format_partition(self.lam) + (f":{self.tag}" if self.tag else "")
 
 
+def _trusted(label_class, shape: Partition, tag: str = TAG_NONE):
+    """label_class(shape, tag) with its two fields set as given, not checked by __post_init__.
+
+    For shapes from partitions(n) with tags read off _row_index or
+    class_splits, which are canonical by construction; a label from a user
+    goes through the checking constructor.
+    """
+    label = object.__new__(label_class)
+    label.__dict__.update(zip(label_class.__dataclass_fields__, (shape, tag)))
+    return label
+
+
 @cache
 def an_classes(n: int) -> tuple[AnClass, ...]:
     """Conjugacy classes of the alternating group on n points.
 
-    The memo holds one shared tuple of frozen labels per n asked.
+    The memo holds one shared tuple of frozen labels per n asked, built
+    unchecked from the even types of partitions(n), two tagged labels for a
+    type that class_splits.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -403,32 +412,42 @@ def an_classes(n: int) -> tuple[AnClass, ...]:
         if not in_alternating(mu):
             continue
         if class_splits(mu):
-            out.append(AnClass(mu, TAG_PLUS))
-            out.append(AnClass(mu, TAG_MINUS))
+            out.append(_trusted(AnClass, mu, TAG_PLUS))
+            out.append(_trusted(AnClass, mu, TAG_MINUS))
         else:
-            out.append(AnClass(mu))
+            out.append(_trusted(AnClass, mu))
     return tuple(out)
 
 
 @cache
+def _irrep_index(n: int) -> tuple[tuple[AnIrrep, ...], tuple[int, ...]]:
+    """The irreducibles of A_n, trivial first, and the row in partitions(n) of each one's shape.
+
+    Shapes come in partitions(n) order with their transpose rows from
+    _row_index: row r is kept when r <= twin[r] (lam >= lam'), and splits
+    into a plus and a minus half when r == twin[r] and n >= 2.  The labels
+    are built unchecked from those trusted shapes and tags.
+    """
+    twin = _row_index(n)[1]
+    reps, rows = [], []
+    for r, lam in enumerate(partitions(n)):
+        if r == twin[r] and n >= 2:
+            reps += [_trusted(AnIrrep, lam, TAG_PLUS), _trusted(AnIrrep, lam, TAG_MINUS)]
+            rows += [r, r]
+        elif r <= twin[r]:
+            reps.append(_trusted(AnIrrep, lam))
+            rows.append(r)
+    return tuple(reps), tuple(rows)
+
+
 def an_irreps(n: int) -> tuple[AnIrrep, ...]:
     """Irreducibles of the alternating group on n points, trivial first.
 
-    The memo holds one shared tuple of frozen labels per n asked.  Shapes
-    come in partitions(n) order with their transpose rows from _row_index:
-    row r is kept when r <= twin[r] (lam >= lam'), and splits when r == twin[r].
+    One shared tuple of frozen labels per n, from the _irrep_index memo.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    twin = _row_index(n)[1]
-    out = []
-    for r, lam in enumerate(partitions(n)):
-        if r == twin[r] and n >= 2:
-            out.append(AnIrrep(lam, TAG_PLUS))
-            out.append(AnIrrep(lam, TAG_MINUS))
-        elif r <= twin[r]:
-            out.append(AnIrrep(lam))
-    return tuple(out)
+    return _irrep_index(n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +523,13 @@ def _irrep_rows(n: int, types: list[Partition]) -> list[tuple[AnIrrep, tuple[int
     """Each irreducible of A_n with its S_n row: chi^lam at each type in types, in that order.
 
     One _fill_columns call builds every column, one transpose turns them
-    into rows by shape, and _row_of picks the row of each irreducible's
-    shape; the two halves of a split shape share its row.
+    into rows by shape, and _irrep_index gives the row of each
+    irreducible's shape; the two halves of a split shape share its row.
     """
     _fill_columns(types)
     rows = list(zip(*[_COLUMNS[mu] for mu in types]))
-    return [(rep, rows[_row_of(rep.lam)]) for rep in an_irreps(n)]
+    reps, index = _irrep_index(n)
+    return [(rep, rows[r]) for rep, r in zip(reps, index)]
 
 
 @dataclass(frozen=True)
@@ -551,14 +571,16 @@ def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
     one row per transpose pair.  Whole rows share one QuadValue per
     distinct S_n value, and split rows one QuadValue.half per value, from
     memos that live for this call; split rows go through _an_value.
-    Three unbounded memos back it, as one does _mn, whose keys are
+    Four unbounded memos back it, as one does _mn, whose keys are
     (beta-set mask, suffix of mu) pairs: the _COLUMNS dict, filled per
     group, holds one tuple per type asked and per suffix of one,
     _rim_table one tuple of kept rows with their transpose rows and plus
-    and minus hook rows per (n, h) it met, and _row_index one dict from
-    beta-set mask to row and one transpose map per size.  The tables for
-    every n up to 18 leave 981 columns and 162 rim tables; those at
-    n = 1, 2, 3, 5 and 11 to 18 leave 979 and 161.
+    and minus hook rows per (n, h) it met, _row_index one dict from
+    beta-set mask to row and one transpose map per size, and _irrep_index
+    one tuple of irreducible labels and one of their rows per size, as
+    many as A_n has classes (200 at n = 18, 860 over every n up to 18).
+    The tables for every n up to 18 leave 981 columns and 162 rim tables;
+    those at n = 1, 2, 3, 5 and 11 to 18 leave 979 and 161.
     The column and row memos are shared with _induced_trivial, and
     neither calls _mn.
     """

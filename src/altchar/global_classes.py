@@ -17,10 +17,12 @@ sizes; only the elements of a split type are built across factors, each
 tagged by the parity of the word that lays its cycles end to end.  It is
 the reference.  The distribution route never touches elements: each
 factor's cycle-type distribution has a classical combinatorial
-description, and _distribution_tally says why each half of a split type
-gets half its count.  It covers exactly the types whose centralizer
-contains an odd permutation, which includes every type that the
-explicit route's size guard rejects.
+description, which _wreath_type_distribution builds by a recurrence on
+the number k of cycles, each smaller k from its memo, and
+_distribution_tally says why each half of a split type gets half its
+count.  It covers exactly the types whose centralizer contains an odd
+permutation, which includes every type that the explicit route's size
+guard rejects.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .partitions import (
     centralizer_order_sn,
     check_partition,
     format_partition,
-    partitions,
 )
 from . import perms
 
@@ -191,27 +192,29 @@ def _convolve(left, right) -> Counter:
 
 @cache
 def _wreath_type_distribution(length: int, k: int) -> tuple[tuple[Partition, int], ...]:
-    """Cycle-type distribution of C_length wr S_k on length*k points.
+    """Cycle-type distribution of C_length wr S_k on length*k points, by recurrence on k.
 
-    An element is a permutation pi of the k blocks with a rotation in each;
-    a c-cycle of pi whose rotations sum to r contributes gcd(length, r)
-    cycles of size c*length/gcd(length, r), and the number of rotation
-    vectors along the c-cycle with a given sum is length**(c-1).
+    An element is a permutation pi of the k blocks with a rotation in each.
+    A c-cycle of pi whose rotations sum to r mod length is, on its points,
+    gcd(length, r) cycles of size c*length/gcd(length, r): its c-th power
+    rotates each of its blocks by r.  Of the length**c rotation vectors
+    along it, length**(c-1) have each sum r; call that distribution R_c.
+    Block 0 lies on one c-cycle of pi, whose other c - 1 blocks, in cycle
+    order, are one of (k-1)!/(k-c)! sequences; the other k - c blocks carry
+    any element of C_length wr S_(k-c).  So
+    dist(k) = sum over c = 1..k of (k-1)!/(k-c)! * R_c (x) dist(k - c),
+    with dist(0) = {(): 1}, (x) the convolution of a direct product, and
+    the memo holds each smaller k.
     """
-    per_cycle = {}
-    for c in range(1, k + 1):
-        counts: Counter = Counter()
-        for r in range(length):
-            g = math.gcd(length, r)
-            counts[(c * length // g,) * g] += length ** (c - 1)
-        per_cycle[c] = counts.items()
+    if k == 0:
+        return (((), 1),)
+    gcds = Counter(math.gcd(length, r) for r in range(length))
     dist: Counter = Counter()
-    for kappa in partitions(k):
-        weight = math.factorial(k) // centralizer_order_sn(kappa)
-        partial: Counter = Counter({(): weight})
-        for c in kappa:
-            partial = _convolve(partial.items(), per_cycle[c])
-        dist.update(partial)
+    sequences = 1  # (k-1)!/(k-c)!
+    for c in range(1, k + 1):
+        cycle = {(c * length // g,) * g: sequences * m * length ** (c - 1) for g, m in gcds.items()}
+        dist.update(_convolve(cycle.items(), _wreath_type_distribution(length, k - c)))
+        sequences *= k - c
     return tuple(sorted(dist.items()))
 
 

@@ -11,6 +11,9 @@ InvalidPartitionError on a malformed tuple.  Code below those points,
 here and in the other modules, takes canonical tuples on trust and calls
 the trusted kernels: _conjugate, _distinct_odd, _phi, _dimension and
 _epsilon.  A checked entry point is its check followed by its kernel.
+The labels that characters.an_irreps and an_classes build are not checked
+either: their shapes come from partitions(n) and their tags from the
+transpose map or class_splits, so a character table checks no partition.
 """
 
 from __future__ import annotations

@@ -299,6 +299,20 @@ def test_label_sets_are_built_once_per_n():
     assert an_classes(7) is an_classes(7)
 
 
+@pytest.mark.parametrize("n", range(1, 21))
+def test_trusted_labels_equal_the_checked_ones(n):
+    """The unchecked labels of an_irreps and an_classes, one by one, against the checking constructors."""
+    reps, rows = characters._irrep_index(n)
+    assert an_irreps(n) is reps
+    for rep, r in zip(reps, rows):
+        checked = AnIrrep(rep.lam, rep.tag)
+        assert rep == checked and hash(rep) == hash(checked), rep
+        assert partitions(n)[r] == rep.lam
+    for cls in an_classes(n):
+        checked = AnClass(cls.mu, cls.tag)
+        assert cls == checked and hash(cls) == hash(checked), cls
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_class_and_irrep_counts_match(n):
     classes = an_classes(n)

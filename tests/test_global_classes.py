@@ -21,10 +21,12 @@ from altchar.characters import (
 from altchar.errors import InternalCheckError
 from altchar.numtheory import euler_phi
 from altchar import global_classes
+from altchar.cli import CLOSED_FORM_BOUND
 from altchar.global_classes import (
     _EXPLICIT_LIMIT,
     _distribution_tally,
     _explicit_tally,
+    _wreath_type_distribution,
     an_inner_products,
     centralizer_type_distribution,
     global_brute_force,
@@ -32,7 +34,7 @@ from altchar.global_classes import (
     qualifies,
 )
 from altchar.partitions import centralizer_order_sn, partitions
-from conftest import an_character, compose, inverse, suffix_closure
+from conftest import an_character, compose, identity, inverse, suffix_closure
 
 
 def test_qualifies():
@@ -55,6 +57,16 @@ def test_closed_form_exceptions():
 # --- the centralizer -----------------------------------------------------------
 
 
+def cycle_blocks(mu):
+    """The points of each cycle of standard_rep(mu), grouped by cycle length."""
+    blocks = {}
+    start = 0
+    for part in mu:
+        blocks.setdefault(part, []).append(list(range(start, start + part)))
+        start += part
+    return blocks
+
+
 def centralizer_elements(mu):
     """All permutations commuting with standard_rep(mu), by direct product.
 
@@ -65,11 +77,7 @@ def centralizer_elements(mu):
     conjugator_tally.
     """
     n = sum(mu)
-    blocks = {}
-    start = 0
-    for part in mu:
-        blocks.setdefault(part, []).append(list(range(start, start + part)))
-        start += part
+    blocks = cycle_blocks(mu)
     factor_choices = [
         [(family, arrangement, rotations, length)
          for arrangement in permutations(range(len(family)))
@@ -102,6 +110,56 @@ def test_centralizer_enumeration(mu):
 def test_type_distribution_matches_enumeration(mu):
     counted = Counter(perms.cycle_type(g) for g in centralizer_elements(mu))
     assert centralizer_type_distribution(mu) == dict(counted)
+
+
+def per_kappa_wreath_distribution(length, k):
+    """Cycle-type distribution of C_length wr S_k, one term per cycle of every kappa |- k.
+
+    The oracle for _wreath_type_distribution's recurrence on k.  The
+    (k! / z_kappa) block permutations of type kappa each take one rotation
+    vector per cycle; a c-cycle whose rotations sum to r gives
+    gcd(length, r) cycles of size c*length/gcd(length, r), and
+    length**(c-1) rotation vectors along it have each sum.
+    """
+    def convolve(left, right):
+        out = Counter()
+        for a, wa in left.items():
+            for b, wb in right.items():
+                out[tuple(sorted(a + b, reverse=True))] += wa * wb
+        return out
+
+    per_cycle = {}
+    for c in range(1, k + 1):
+        counts = Counter()
+        for r in range(length):
+            g = math.gcd(length, r)
+            counts[(c * length // g,) * g] += length ** (c - 1)
+        per_cycle[c] = counts
+    dist = Counter()
+    for kappa in partitions(k):
+        partial = Counter({(): math.factorial(k) // centralizer_order_sn(kappa)})
+        for c in kappa:
+            partial = convolve(partial, per_cycle[c])
+        dist.update(partial)
+    return tuple(sorted(dist.items()))
+
+
+def test_wreath_recurrence_equals_the_per_kappa_sum():
+    checked = 0
+    for length in range(1, 21):
+        for k in range(20 // length + 1):
+            assert _wreath_type_distribution(length, k) == per_kappa_wreath_distribution(length, k), (length, k)
+            checked += 1
+    assert checked == 86
+
+
+def test_wreath_distribution_counts_the_whole_factor():
+    """length**k * k! elements, each a permutation of length*k points."""
+    for length in range(1, 31):
+        for k in range(30 // length + 1):
+            dist = _wreath_type_distribution(length, k)
+            assert sum(count for _, count in dist) == length**k * math.factorial(k), (length, k)
+            assert all(sum(t) == length * k for t, _ in dist), (length, k)
 
 
 def split_class_of(sigma):
@@ -152,11 +210,12 @@ def constructions(monkeypatch, label_class) -> list:
     return built
 
 
-def test_a_repeated_n_builds_no_irreducible(monkeypatch):
+def test_a_repeated_n_builds_no_irreducible():
     global_brute_force((5, 3, 1))
-    built = constructions(monkeypatch, AnIrrep)
+    before = characters._irrep_index.cache_info()
     assert global_brute_force((7, 1, 1)).is_global
-    assert built == []
+    after = characters._irrep_index.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
 
 
 def test_the_explicit_route_builds_one_class_label_per_class(monkeypatch):
@@ -412,6 +471,146 @@ def test_union_of_globals_is_global():
         checked.add(union)
     assert len(checked) >= 5
     assert (3, 3, 1, 1) not in checked
+
+
+def centralizer_generators(mu):
+    """Generators of the centralizer of standard_rep(mu) in A_n.
+
+    In S_n each family of k cycles of length l gives C_l wr S_k, generated
+    by the rotation of its first cycle, the swap of its first two cycles
+    and the k-cycle of its cycles.  The even part comes by Schreier's
+    lemma, with transversal {1, g0} for one odd generator g0.
+    """
+    n = sum(mu)
+    gens = []
+    for length, family in cycle_blocks(mu).items():
+        k = len(family)
+        rotate, swap, shift = list(range(n)), list(range(n)), list(range(n))
+        for t in range(length):
+            rotate[family[0][t]] = family[0][(t + 1) % length]
+            for j, block in enumerate(family):
+                shift[block[t]] = family[(j + 1) % k][t]
+            if k >= 2:
+                swap[family[0][t]], swap[family[1][t]] = family[1][t], family[0][t]
+        gens += [tuple(rotate)] + [tuple(swap)] * (k >= 2) + [tuple(shift)] * (k >= 3)
+    odd = [g for g in gens if perms.sign(g) == -1]
+    if not odd:
+        return gens
+    g0, g0_inv = odd[0], inverse(odd[0])
+    return [s if perms.sign(s) == 1 else compose(s, g0_inv) for s in gens] + [
+        compose(compose(g0, s), g0_inv) if perms.sign(s) == 1 else compose(g0, s) for s in gens
+    ]
+
+
+@pytest.mark.parametrize("mu", [(3,), (5, 3), (3, 3), (2, 2, 1), (4, 2), (3, 1, 1), (2, 2, 2), (1, 1, 1, 1, 1)])
+def test_centralizer_generators_generate_the_even_centralizer(mu):
+    group, todo = {identity(sum(mu))}, [identity(sum(mu))]
+    while todo:
+        g = todo.pop()
+        for s in centralizer_generators(mu):
+            h = compose(s, g)
+            if h not in group:
+                group.add(h)
+                todo.append(h)
+    assert group == {g for g in centralizer_elements(mu) if perms.sign(g) == 1}
+
+
+def orbit_counts(mu):
+    """Orbits of the A_n-centralizer of standard_rep(mu) on points, 2-subsets and ordered pairs.
+
+    Counted by walking each orbit with the generators, with no character
+    value and no cycle-type tally.
+    """
+    n = sum(mu)
+    gens = centralizer_generators(mu)
+
+    def components(items, act):
+        seen, count = set(), 0
+        for x in items:
+            if x in seen:
+                continue
+            count += 1
+            seen.add(x)
+            todo = [x]
+            while todo:
+                y = todo.pop()
+                for g in gens:
+                    z = act(g, y)
+                    if z not in seen:
+                        seen.add(z)
+                        todo.append(z)
+        return count
+
+    points = components(range(n), lambda g, x: g[x])
+    subsets = components([(i, j) for i in range(n) for j in range(i + 1, n)],
+                         lambda g, p: tuple(sorted((g[p[0]], g[p[1]]))))
+    ordered = components([(i, j) for i in range(n) for j in range(n) if i != j],
+                         lambda g, p: (g[p[0]], g[p[1]]))
+    return points, subsets, ordered
+
+
+def burnside_counts(types):
+    """Orbit counts on points, 2-subsets and ordered pairs from (cycle type, count) pairs alone.
+
+    An element with a_1 fixed points and a_2 two-cycles fixes a_1 points,
+    C(a_1, 2) + a_2 two-subsets and a_1 (a_1 - 1) ordered pairs.
+    """
+    size = sum(count for _, count in types)
+    fixed = [0, 0, 0]
+    for t, count in types:
+        a1, a2 = t.count(1), t.count(2)
+        for i, f in enumerate((a1, a1 * (a1 - 1) // 2 + a2, a1 * (a1 - 1))):
+            fixed[i] += count * f
+    assert all(f % size == 0 for f in fixed)
+    return tuple(f // size for f in fixed)
+
+
+def orbit_rows(inner, n):
+    """The orbit counts that Young's rule reads off the rows (n-1,1), (n-2,2) and (n-2,1,1), for n >= 6.
+
+    On points 1 + chi^(n-1,1), on 2-subsets that plus chi^(n-2,2), and on
+    ordered pairs 1 + 2 chi^(n-1,1) + chi^(n-2,2) + chi^(n-2,1,1); none of
+    the three shapes is self-conjugate, so each restricts to A_n whole.
+    """
+    std, two, wedge = (inner[AnIrrep(lam)] for lam in [(n - 1, 1), (n - 2, 2), (n - 2, 1, 1)])
+    return 1 + std, 1 + std + two, 1 + 2 * std + two + wedge
+
+
+@pytest.mark.parametrize("n", range(6, 15))
+def test_three_rows_equal_the_orbit_counts(n):
+    """Both tallies and the engine's rows against Burnside, on every even type of n.
+
+    The orbits come from the centralizer's generators; the even part of the
+    type distribution must give the same counts by Burnside, and the rows
+    of an_inner_products, on its own route and on the distribution route
+    wherever that applies, the same counts by Young's rule.
+    """
+    routes = Counter()
+    for mu in partitions(n):
+        if not in_alternating(mu):
+            continue
+        orbits = orbit_counts(mu)
+        even = [(t, count) for t, count in centralizer_type_distribution(mu).items() if in_alternating(t)]
+        assert burnside_counts(even) == orbits, mu
+        inner, method = an_inner_products(mu)
+        assert orbit_rows(inner, n) == orbits, (mu, method)
+        routes[method] += 1
+        if not class_splits(mu):
+            assert orbit_rows(_induced_trivial(n, _distribution_tally(mu)), n) == orbits, mu
+    assert routes["explicit-centralizer"] > 0 and (n < 9 or routes["type-distribution"] > 0)
+
+
+def test_the_closed_form_names_a_global_class_at_every_n():
+    """Heide and Zalessky's existence result: A_n has a global class for every n >= 5.
+
+    The closed form names (n-1, 1) for n even and (n-2, 1, 1) for n odd;
+    brute force agrees up to n = 18.
+    """
+    for n in range(5, CLOSED_FORM_BOUND + 1):
+        mu = (n - 1, 1) if n % 2 == 0 else (n - 2, 1, 1)
+        assert is_global_class(mu).is_global is True, mu
+        if n <= 18:
+            assert global_brute_force(mu, bound=n).is_global is True, mu
 
 
 # --- the symmetric-group analogue ------------------------------------------------

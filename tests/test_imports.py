@@ -145,7 +145,7 @@ def test_the_scan_flags_a_checked_read():
 
 
 COLUMN_INTERNALS = {
-    "_COLUMNS", "_fill_columns", "_row_of", "_row_index", "_rim_table", "_rim_hooks",
+    "_COLUMNS", "_fill_columns", "_irrep_index", "_row_index", "_rim_table", "_rim_hooks",
     "_beta_mask", "_transpose_mask", "_mask_degree", "_mn",
 }
 
