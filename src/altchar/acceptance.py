@@ -17,9 +17,11 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cache
+from itertools import product
 
 from .characters import (
     TAG_MINUS,
+    TAG_NONE,
     TAG_PLUS,
     TABLE_BOUND,
     AnIrrep,
@@ -31,7 +33,7 @@ from .characters import (
     _sn_values,
 )
 from .classify import invariant_failure_an, n_cycle_gaps
-from .global_classes import global_brute_force, is_global_class, qualifies
+from .global_classes import an_inner_products, global_brute_force, is_global_class, qualifies
 from .multiplicity import (
     an_multiplicity_vector,
     bias_vector,
@@ -283,11 +285,33 @@ def _criterion_6() -> tuple[bool, str]:
     return True, f"{checked} coprime powers, weights <= 10"
 
 
+def _split_centralizer_failure(mu: Partition) -> str | None:
+    """Where an_inner_products(mu), mu split, differs from the table's rows summed over the
+    centralizer: the rotations of standard_rep(mu)'s cycles, split ones tagged as in criterion 6."""
+    table = character_table_an(sum(mu))
+    column = {(c.mu, c.tag): j for j, c in enumerate(table.classes)}
+    weights = [0] * len(column)
+    blocks = perms.cycles(perms.standard_rep(mu))
+    for rotations in product(*map(range, mu)):
+        g = tuple(c[(j + r) % len(c)] for c, r in zip(blocks, rotations) for j in range(len(c)))
+        t = perms.cycle_type(g)
+        even = perms.sign(perms.conjugator(perms.standard_rep(t), g)) == 1
+        weights[column[t, TAG_NONE if not _distinct_odd(t) else TAG_PLUS if even else TAG_MINUS]] += 1
+    inner, _ = an_inner_products(mu)
+    for rep, row in zip(table.irreps, table.values):
+        rational, radical = _inner_product(weights, row, table.values[0])  # the trivial row
+        if any(radical.values()) or rational != 4 * sum(weights) * inner[rep]:
+            return f"{rep.label()} summed over the centralizer of {mu} differs"
+    return None
+
+
 def _criterion_7() -> tuple[bool, str]:
-    """Global classes: closed form equals brute force through weight 20."""
+    """Global classes: closed form equals brute force through weight 20; split types' sums equal table rows."""
     checked = 0
     for n in range(2, 21):
         for mu in partitions(n):
+            if n <= TABLE_BOUND and _distinct_odd(mu) and (failure := _split_centralizer_failure(mu)):
+                return False, failure
             if not qualifies(mu):
                 continue
             closed = is_global_class(mu)
@@ -304,7 +328,8 @@ def _criterion_7() -> tuple[bool, str]:
     for mu in ((7, 1), (5, 5), (5, 3, 1), (7, 3, 1)):
         if not global_brute_force(mu).is_global:
             return False, f"{mu} should be global"
-    return True, f"{checked} qualifying types, weights <= 20; named cases confirmed"
+    detail = f"{checked} qualifying types, weights <= 20; named cases confirmed"
+    return True, f"{detail}; split types' row sums, n <= {TABLE_BOUND}"
 
 
 def _inner_product(weights, xs, ys) -> tuple[int, dict[int, int]]:

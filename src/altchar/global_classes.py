@@ -7,22 +7,12 @@ chi is (1/|Z|) * sum of chi over the centralizer Z, so the brute-force
 check is a character sum over Z.
 
 The sum itself is characters._induced_trivial, over a tally of the even
-centralizer elements by alternating class; this module builds the
-centralizer, counts the tally and reads the verdict.  The centralizer is a
-direct product of wreath products C_l wr S_k, one per family of k cycles of
-length l, and two routes count the tally.  The explicit route walks the
-elements of each factor once (one rotation per cycle, block swaps between
-equal-length cycles), groups them by cycle type and multiplies the group
-sizes; only the elements of a split type are built across factors, each
-tagged by the parity of the word that lays its cycles end to end.  It is
-the reference.  The distribution route never touches elements: each
-factor's cycle-type distribution has a classical combinatorial
-description, which _wreath_type_distribution builds by a recurrence on
-the number k of cycles, each smaller k from its memo, and
-_distribution_tally says why each half of a split type gets half its
-count.  It covers exactly the types whose centralizer contains an odd
-permutation, which includes every type that the explicit route's size
-guard rejects.
+centralizer elements by alternating class that _tally reads off the
+centralizer's cycle-type distribution, with one rule for the split classes.
+The centralizer is a direct product of wreath products C_l wr S_k, one per
+family of k cycles of length l.  The two routes differ only in where each
+factor's distribution comes from: the explicit route, the reference, walks
+its elements; the distribution route takes _wreath_type_distribution.
 """
 
 from __future__ import annotations
@@ -48,7 +38,6 @@ from .characters import (
 from .errors import InternalCheckError
 from .partitions import (
     Partition,
-    _distinct_odd,
     centralizer_order_sn,
     check_partition,
     format_partition,
@@ -104,81 +93,7 @@ def is_global_class(mu: Partition) -> GlobalVerdict:
 
 
 # ---------------------------------------------------------------------------
-# the centralizer, explicitly
-
-
-def _factor_groups(length: int, k: int, offset: int) -> list[list]:
-    """The elements of C_length wr S_k, grouped by cycle type.
-
-    Each element is a word on the factor's own length*k points: block j,
-    the points j*length onwards, goes to block arrangement[j] with its own
-    rotation.  Each group is [type, count, elements].  Only a type with
-    distinct odd parts can be part of a split type, so only such a group
-    keeps its elements, each as its cycles by decreasing length, shifted
-    by offset onto the factor's points in standard_rep(mu); every other
-    group keeps None.
-    """
-    blocks = [[tuple(b * length + (t + r) % length for t in range(length)) for r in range(length)]
-              for b in range(k)]
-    groups: dict[Partition, list] = {}
-    for arrangement in iter_permutations(range(k)):
-        for rotated in iter_product(*[blocks[b] for b in arrangement]):
-            cs = perms.cycles(tuple(chain.from_iterable(rotated)))
-            t = tuple(sorted(map(len, cs), reverse=True))
-            group = groups.get(t)
-            if group is None:
-                group = groups[t] = [t, 0, [] if _distinct_odd(t) else None]
-            group[1] += 1
-            if group[2] is not None:
-                cs.sort(key=len, reverse=True)
-                group[2].append([tuple(x + offset for x in c) for c in cs] if offset else cs)
-    return list(groups.values())
-
-
-def _explicit_tally(mu: Partition) -> Counter:
-    """Even centralizer elements per (cycle type, tag) key, one factor at a time.
-
-    The centralizer of standard_rep(mu) is the direct product of one
-    C_l wr S_k per family of k cycles of length l.  Each factor's elements
-    are walked once and grouped by cycle type (_factor_groups), and one
-    group per factor gives a type, counted by the product of the group
-    sizes.  A split type has one cycle of each length, so its groups kept
-    their elements, and each element of their product is tagged on its
-    own.  Laying its cycles end to end by decreasing length gives the word
-    of the conjugator that carries standard_rep of its type onto it, cycle
-    onto cycle, each from its smallest point.  The element lies in the
-    plus class, the one of standard_rep, exactly when that word is even.
-    """
-    order = centralizer_order_sn(mu)
-    if order > _EXPLICIT_LIMIT:
-        raise InternalCheckError(f"centralizer order {order} exceeds {_EXPLICIT_LIMIT}")
-    factors = []
-    offset = 0
-    for length, k in Counter(mu).items():
-        factors.append(_factor_groups(length, k, offset))
-        offset += length * k
-    tally: Counter = Counter()
-    counted = 0
-    for combo in iter_product(*factors):
-        types, sizes, kept = zip(*combo)
-        t = tuple(sorted(chain.from_iterable(types), reverse=True))
-        size = math.prod(sizes)
-        counted += size
-        if not in_alternating(t):
-            continue
-        if not class_splits(t):
-            tally[t, TAG_NONE] += size
-            continue
-        for element in iter_product(*kept):
-            word = tuple(chain.from_iterable(sorted(chain.from_iterable(element), key=len, reverse=True)))
-            tally[t, TAG_PLUS if perms.sign(word) == 1 else TAG_MINUS] += 1
-    if counted != order:
-        raise InternalCheckError(f"counted {counted} centralizer elements for {mu}, expected {order}")
-    return tally
-
-
-# ---------------------------------------------------------------------------
-# the centralizer, by cycle-type distribution
+# the centralizer's cycle-type distribution, walked or by recurrence
 
 
 def _convolve(left, right) -> Counter:
@@ -188,6 +103,16 @@ def _convolve(left, right) -> Counter:
         for b, wb in right:
             out[tuple(sorted(a + b, reverse=True))] += wa * wb
     return out
+
+
+def _walked_wreath_distribution(length: int, k: int):
+    """Cycle-type distribution of C_length wr S_k, walked: each element takes block j, the points
+    j*length onwards, to block arrangement[j] with its own rotation."""
+    blocks = [[tuple(b * length + (t + r) % length for t in range(length)) for r in range(length)]
+              for b in range(k)]
+    words = (tuple(chain.from_iterable(rotated)) for arrangement in iter_permutations(range(k))
+             for rotated in iter_product(*[blocks[b] for b in arrangement]))
+    return Counter(tuple(sorted(map(len, perms.cycles(w)), reverse=True)) for w in words).items()
 
 
 @cache
@@ -218,45 +143,66 @@ def _wreath_type_distribution(length: int, k: int) -> tuple[tuple[Partition, int
     return tuple(sorted(dist.items()))
 
 
-def centralizer_type_distribution(mu: Partition) -> dict[Partition, int]:
-    """How many centralizer elements of standard_rep(mu) have each cycle type."""
+def _type_distribution(mu: Partition, factor) -> Counter:
+    """The centralizer's cycle-type distribution, convolved from factor(l, k) per family of k l-cycles."""
     dist: Counter = Counter({(): 1})
     for length, k in sorted(Counter(mu).items()):
-        dist = _convolve(dist.items(), _wreath_type_distribution(length, k))
+        dist = _convolve(dist.items(), factor(length, k))
     if sum(dist.values()) != centralizer_order_sn(mu):
         raise InternalCheckError(f"type distribution of the centralizer of {mu} has the wrong size")
-    return dict(dist)
+    return dist
 
 
-def _distribution_tally(mu: Partition) -> Counter:
-    """Even centralizer elements per (cycle type, tag) key, from cycle types alone.
+def centralizer_type_distribution(mu: Partition) -> dict[Partition, int]:
+    """How many centralizer elements of standard_rep(mu) have each cycle type."""
+    return dict(_type_distribution(mu, _wreath_type_distribution))
 
-    Valid only when the centralizer contains an odd permutation: conjugating
-    by it swaps the two halves of any split class, so each half receives
-    half of its type's count.
+
+def _walked_type_distribution(mu: Partition) -> Counter:
+    """The same distribution, each factor walked, for a centralizer of at most _EXPLICIT_LIMIT elements."""
+    if (order := centralizer_order_sn(mu)) > _EXPLICIT_LIMIT:
+        raise InternalCheckError(f"centralizer order {order} exceeds {_EXPLICIT_LIMIT}")
+    return _type_distribution(mu, _walked_wreath_distribution)
+
+
+def _tally(mu: Partition, dist) -> Counter:
+    """Even centralizer elements of standard_rep(mu) per (cycle type, tag) key, from the type distribution dist.
+
+    When mu does not split, an odd centralizer element swaps the two
+    classes of each split type, so each takes half the type's count.  When
+    mu splits, the centralizer is the product of its cycles' rotations, and
+    mu is its one split type: the elements with unit rotations r_i.
+    Multiplying Z/mu_i by r_i has sign (r_i | mu_i) (Frobenius-Zolotarev),
+    so such an element is plus, in the class of standard_rep(mu), exactly
+    when prod (r_i | mu_i) = 1: all prod phi(mu_i) of them when every part
+    is a square, as the six unit rotations of the 9-cycle at (9, 1), and
+    half otherwise, as 4 and 4 at (5, 3).
+
+    >>> [_tally(mu, centralizer_type_distribution(mu))[mu, tag] for mu in ((9, 1), (5, 3)) for tag in "+-"]
+    [6, 0, 4, 4]
     """
-    if class_splits(mu):
-        raise InternalCheckError(f"distribution route needs an odd element in the centralizer of {mu}")
     tally: Counter = Counter()
-    for t, count in centralizer_type_distribution(mu).items():
+    for t, count in dist.items():
         if not in_alternating(t):
             continue
         if not class_splits(t):
             tally[t, TAG_NONE] = count
-        elif count % 2:
+        elif t != mu and count % 2:
             raise InternalCheckError(f"odd count {count} on split type {t} in the centralizer of {mu}")
         else:
-            tally[t, TAG_PLUS] = tally[t, TAG_MINUS] = count // 2
-    if 2 * sum(tally.values()) != centralizer_order_sn(mu):
-        raise InternalCheckError(f"even elements are not half the centralizer of {mu}")
+            plus = count if t == mu and all(math.isqrt(p) ** 2 == p for p in mu) else count // 2
+            tally[t, TAG_PLUS], tally[t, TAG_MINUS] = plus, count - plus
+    # With no odd element (mu splits or has fewer than 2 points) every element is even; else half are.
+    if (1 if class_splits(mu) or sum(mu) < 2 else 2) * sum(tally.values()) != centralizer_order_sn(mu):
+        raise InternalCheckError(f"the even elements of the centralizer of {mu} are miscounted")
     return tally
 
 
 def an_inner_products(mu: Partition) -> tuple[dict[AnIrrep, int], str]:
     """Multiplicities of each irreducible in the induced trivial, plus the route."""
-    if class_splits(mu) or centralizer_order_sn(mu) <= _EXPLICIT_LIMIT:
-        return _induced_trivial(sum(mu), _explicit_tally(mu)), "explicit-centralizer"
-    return _induced_trivial(sum(mu), _distribution_tally(mu)), "type-distribution"
+    walk = class_splits(mu) or centralizer_order_sn(mu) <= _EXPLICIT_LIMIT
+    dist = _walked_type_distribution(mu) if walk else centralizer_type_distribution(mu)
+    return _induced_trivial(sum(mu), _tally(mu, dist)), "explicit-centralizer" if walk else "type-distribution"
 
 
 def global_brute_force(mu: Partition, bound: int = BRUTE_FORCE_BOUND) -> GlobalVerdict:

@@ -4,10 +4,9 @@ A permutation is a tuple ``w`` where ``w[x]`` is the image of ``x``, so
 the helpers below stay tuple-in, tuple-out and need no classes.
 
 Three production paths use explicit permutations: the explicit centralizer
-route of global_classes (cycles of each centralizer factor's elements, and
-the sign of each split element's word), acceptance.sn_multiplicity_failure
-(the cycle type of each power w**(m/e)), and acceptance criterion 6 (power
-conjugacy by conjugator parity), the one production caller of conjugator.
+route of global_classes (only cycles, of each factor's elements),
+acceptance.sn_multiplicity_failure (the cycle type of each power w**(m/e)),
+and acceptance criteria 6 and 7, which tag by conjugator parity.
 """
 
 from __future__ import annotations

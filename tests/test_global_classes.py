@@ -20,12 +20,11 @@ from altchar.characters import (
 )
 from altchar.errors import InternalCheckError
 from altchar.numtheory import euler_phi
-from altchar import global_classes
 from altchar.cli import CLOSED_FORM_BOUND
 from altchar.global_classes import (
     _EXPLICIT_LIMIT,
-    _distribution_tally,
-    _explicit_tally,
+    _tally,
+    _walked_type_distribution,
     _wreath_type_distribution,
     an_inner_products,
     centralizer_type_distribution,
@@ -72,8 +71,8 @@ def centralizer_elements(mu):
 
     Per family of k cycles of common length l the factor is C_l wr S_k:
     an independent rotation of each cycle and a permutation of the blocks.
-    Every element is built whole on all n points, independently of
-    _explicit_tally's factor-by-factor walk: this is the oracle behind
+    Every element is built whole on all n points, independently of the
+    explicit route's factor-by-factor walk: this is the oracle behind
     conjugator_tally.
     """
     n = sum(mu)
@@ -165,7 +164,7 @@ def test_wreath_distribution_counts_the_whole_factor():
 def split_class_of(sigma):
     """Tag of the split class containing sigma, by the parity of a conjugator.
 
-    The oracle for _explicit_tally's tags: perms.conjugator builds some
+    The oracle for _tally's tags: perms.conjugator builds some
     rho with rho standard_rep(t) rho^-1 == sigma, and sigma lies in the
     plus class, that of standard_rep(t), exactly when rho is even.
     """
@@ -233,6 +232,16 @@ def test_split_class_of_rejects_non_split_types():
         split_class_of(perms.standard_rep((3, 3)))
 
 
+def walked_tally(mu):
+    """The explicit route's tally: _tally over the walked type distribution."""
+    return _tally(mu, _walked_type_distribution(mu))
+
+
+def recurrence_tally(mu):
+    """The distribution route's tally: _tally over the recurrence's type distribution."""
+    return _tally(mu, centralizer_type_distribution(mu))
+
+
 def explicit_types(n):
     """The even cycle types on n points that the explicit route takes."""
     return [mu for mu in partitions(n) if in_alternating(mu) and centralizer_order_sn(mu) <= _EXPLICIT_LIMIT]
@@ -252,12 +261,12 @@ def test_explicit_tally_equals_the_conjugator_tags(n):
     """Every type of conjugator_tag_types(n) against conjugator_tally.
 
     (9,) and (9, 1) put all six unit rotations of the 9-cycle in the plus
-    class, so a flipped tag or a reversed cycle order shows there.  Past
-    n = 10 the split types (7, 5, 3, 1) and (9, 5, 3, 1) take each tagged
-    element from four factors, laid end to end.
+    class, so a flipped tag or a dropped all-squares rule shows there.
+    Past n = 10 the split types (7, 5, 3, 1) and (9, 5, 3, 1) tag elements
+    of four factors.
     """
     for mu in conjugator_tag_types(n):
-        assert _explicit_tally(mu) == conjugator_tally(mu), mu
+        assert walked_tally(mu) == conjugator_tally(mu), mu
 
 
 def test_conjugator_tag_check_leaves_out_only_the_identities():
@@ -274,39 +283,42 @@ def test_conjugator_tag_check_leaves_out_only_the_identities():
 
 
 def test_route_preconditions_are_internal_errors():
-    """The route dispatch keeps both unreachable; a bug that breaks it is no bad input."""
+    """The route dispatch keeps the walk within its limit; a bug that breaks it is no bad input."""
     with pytest.raises(InternalCheckError):
-        _explicit_tally((1,) * 10)  # 10! elements, past the explicit limit
-    with pytest.raises(InternalCheckError):
-        _distribution_tally((5, 3))  # split type: no odd centralizer element
+        _walked_type_distribution((1,) * 10)  # 10! elements, past the explicit limit
 
 
-def test_an_odd_count_on_a_split_type_is_an_internal_error(monkeypatch):
+def test_an_odd_count_on_a_split_type_is_an_internal_error():
     """Each half of a split type gets half its count, so the count must be even."""
     # (2, 2) has 8 centralizer elements, and these 4 even ones are half of them.
     fake = {(3, 1): 3, (1, 1, 1, 1): 1, (2, 1, 1): 4}
-    monkeypatch.setattr(global_classes, "centralizer_type_distribution", lambda mu: fake)
     with pytest.raises(InternalCheckError, match="odd count 3 on split type"):
-        _distribution_tally((2, 2))
+        _tally((2, 2), fake)
+
+
+def test_a_miscounted_even_part_is_an_internal_error():
+    """Half the centralizer is even when it holds an odd element, and all of it when mu splits."""
+    with pytest.raises(InternalCheckError, match="miscounted"):
+        _tally((2, 2), {(2, 2): 8})  # the 8 elements of the centralizer of (2, 2), all counted even
+    with pytest.raises(InternalCheckError, match="miscounted"):
+        _tally((5, 3), {(5, 3): 8, (5, 1, 1, 1): 4, (3, 1, 1, 1, 1, 1): 2})  # 14 of its 15 elements
 
 
 # --- brute force ----------------------------------------------------------------
 
 
 def test_inner_products_routes_agree():
-    """The explicit enumeration and the type-distribution route must coincide."""
+    """The walked and the recurrence type distributions must give one tally, split types included."""
     for mu in [(2, 2), (4, 2), (2, 2, 1, 1), (3, 3), (6, 2), (4, 4)]:
         explicit, _ = an_inner_products(mu)
-        assert explicit == _induced_trivial(sum(mu), _distribution_tally(mu))
-    # The distribution tally rests on an odd centralizer element swapping
-    # the halves of every split class; the enumeration checks that directly.
+        assert explicit == _induced_trivial(sum(mu), recurrence_tally(mu))
     checked = 0
     for n in range(2, 13):
         for mu in partitions(n):
-            if in_alternating(mu) and not class_splits(mu) and centralizer_order_sn(mu) <= 20_000:
-                assert _explicit_tally(mu) == _distribution_tally(mu), mu
+            if in_alternating(mu) and centralizer_order_sn(mu) <= 20_000:
+                assert walked_tally(mu) == recurrence_tally(mu), mu
                 checked += 1
-    assert checked == 116
+    assert checked == 132  # 116 non-split and 16 split types
 
 
 def test_explicit_tally_of_a_split_type_on_its_own_classes():
@@ -323,7 +335,7 @@ def test_explicit_tally_of_a_split_type_on_its_own_classes():
                 continue
             units = math.prod(euler_phi(p) for p in mu)
             squares = math.prod(euler_phi(p) if math.isqrt(p) ** 2 == p else 0 for p in mu)
-            tally = _explicit_tally(mu)
+            tally = walked_tally(mu)
             assert (tally[mu, "+"], tally[mu, "-"]) == ((units + squares) // 2, (units - squares) // 2), mu
             checked += 1
     assert checked == 54
@@ -387,7 +399,7 @@ def test_distribution_route_equals_per_entry_sums(mu):
 def test_inner_products_leave_only_their_tally_types_and_suffixes(monkeypatch, mu):
     monkeypatch.setattr(characters, "_COLUMNS", {(): (1,)})
     _, method = an_inner_products(mu)
-    tally = _explicit_tally(mu) if method == "explicit-centralizer" else _distribution_tally(mu)
+    tally = walked_tally(mu) if method == "explicit-centralizer" else recurrence_tally(mu)
     assert set(characters._COLUMNS) == suffix_closure(t for t, _ in tally)
 
 
@@ -582,8 +594,8 @@ def test_three_rows_equal_the_orbit_counts(n):
 
     The orbits come from the centralizer's generators; the even part of the
     type distribution must give the same counts by Burnside, and the rows
-    of an_inner_products, on its own route and on the distribution route
-    wherever that applies, the same counts by Young's rule.
+    of an_inner_products, on its own route and on the distribution route,
+    the same counts by Young's rule.
     """
     routes = Counter()
     for mu in partitions(n):
@@ -595,8 +607,7 @@ def test_three_rows_equal_the_orbit_counts(n):
         inner, method = an_inner_products(mu)
         assert orbit_rows(inner, n) == orbits, (mu, method)
         routes[method] += 1
-        if not class_splits(mu):
-            assert orbit_rows(_induced_trivial(n, _distribution_tally(mu)), n) == orbits, mu
+        assert orbit_rows(_induced_trivial(n, recurrence_tally(mu)), n) == orbits, mu
     assert routes["explicit-centralizer"] > 0 and (n < 9 or routes["type-distribution"] > 0)
 
 

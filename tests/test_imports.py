@@ -2,7 +2,8 @@
 public function and method has a caller, no module touches floating
 point or holds an assert statement, the engines never call a checked
 partition entry point, no module but characters reads its masks, rows or
-column memo, and importing the CLI loads no decimal arithmetic.
+column memo, global_classes reads nothing from perms but cycles, and
+importing the CLI loads no decimal arithmetic.
 
 The package's __init__ imports names to re-export them and is left out of
 the unused-import scan.
@@ -166,6 +167,28 @@ def test_the_scan_flags_a_column_internal():
         "x = characters._COLUMNS[(2,)]\ny = _mn(6, (2,)) + _sn_values((2,), [(2,)])[0]\n"
     )
     assert _reads(source, COLUMN_INTERNALS) == ["_mn (line 1)", "_COLUMNS (line 3)", "_mn (line 4)"]
+
+
+def _perms_reads(source: str) -> list[str]:
+    """Each name that source reads from perms, as perms.name or by a from-import."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "perms":
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "perms":
+            found.add(node.attr)
+    return sorted(found)
+
+
+def test_global_classes_reads_only_cycles_from_perms():
+    """The explicit route walks each factor for its elements' cycles; _tally's
+    rule tags split elements, so no sign or conjugator is taken."""
+    assert _perms_reads((PACKAGE / "global_classes.py").read_text()) == ["cycles"]
+
+
+def test_the_scan_flags_a_perms_read():
+    source = "from . import perms\nfrom .perms import sign\nx = perms.cycles(w)\ny = perms.conjugator(w, x)\n"
+    assert _perms_reads(source) == ["conjugator", "cycles", "sign"]
 
 
 def _public_definitions(tree: ast.Module) -> list[tuple[str, str]]:
