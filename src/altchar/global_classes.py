@@ -10,9 +10,11 @@ The sum itself is characters._induced_trivial, over a tally of the even
 centralizer elements by alternating class that _tally reads off the
 centralizer's cycle-type distribution, with one rule for the split classes.
 The centralizer is a direct product of wreath products C_l wr S_k, one per
-family of k cycles of length l.  The two routes differ only in where each
-factor's distribution comes from: the explicit route, the reference, walks
-its elements; the distribution route takes _wreath_type_distribution.
+family of k cycles of length l.  The two routes, a verdict's method, differ
+only in where each factor's distribution comes from: "explicit-centralizer"
+walks its elements, when no part occurs thrice (the classification's own
+hypothesis), so each factor has k <= 2 and l or 2 l**2 elements;
+"type-distribution" takes the recurrence _wreath_type_distribution.
 """
 
 from __future__ import annotations
@@ -45,16 +47,18 @@ from .partitions import (
 from . import perms
 
 BRUTE_FORCE_BOUND = 11
-_EXPLICIT_LIMIT = 250_000
 
 _GLOBAL_EXCEPTIONS = {(3, 1), (3, 3), (5, 3), (3, 3, 1, 1)}
 
 
+def _none_thrice(mu: Partition) -> bool:
+    """No part of mu occurs three or more times."""
+    return max(Counter(mu).values(), default=0) <= 2
+
+
 def qualifies(mu: Partition) -> bool:
     """Hypothesis of the classification: >= 2 parts, all odd, none thrice."""
-    if len(mu) < 2 or any(p % 2 == 0 for p in mu):
-        return False
-    return max(Counter(mu).values()) <= 2
+    return len(mu) >= 2 and all(p % 2 for p in mu) and _none_thrice(mu)
 
 
 @dataclass(frozen=True)
@@ -153,18 +157,6 @@ def _type_distribution(mu: Partition, factor) -> Counter:
     return dist
 
 
-def centralizer_type_distribution(mu: Partition) -> dict[Partition, int]:
-    """How many centralizer elements of standard_rep(mu) have each cycle type."""
-    return dict(_type_distribution(mu, _wreath_type_distribution))
-
-
-def _walked_type_distribution(mu: Partition) -> Counter:
-    """The same distribution, each factor walked, for a centralizer of at most _EXPLICIT_LIMIT elements."""
-    if (order := centralizer_order_sn(mu)) > _EXPLICIT_LIMIT:
-        raise InternalCheckError(f"centralizer order {order} exceeds {_EXPLICIT_LIMIT}")
-    return _type_distribution(mu, _walked_wreath_distribution)
-
-
 def _tally(mu: Partition, dist) -> Counter:
     """Even centralizer elements of standard_rep(mu) per (cycle type, tag) key, from the type distribution dist.
 
@@ -178,7 +170,8 @@ def _tally(mu: Partition, dist) -> Counter:
     is a square, as the six unit rotations of the 9-cycle at (9, 1), and
     half otherwise, as 4 and 4 at (5, 3).
 
-    >>> [_tally(mu, centralizer_type_distribution(mu))[mu, tag] for mu in ((9, 1), (5, 3)) for tag in "+-"]
+    >>> tallies = {mu: _tally(mu, _type_distribution(mu, _wreath_type_distribution)) for mu in ((9, 1), (5, 3))}
+    >>> [tallies[mu][mu, tag] for mu in tallies for tag in "+-"]
     [6, 0, 4, 4]
     """
     tally: Counter = Counter()
@@ -200,8 +193,8 @@ def _tally(mu: Partition, dist) -> Counter:
 
 def an_inner_products(mu: Partition) -> tuple[dict[AnIrrep, int], str]:
     """Multiplicities of each irreducible in the induced trivial, plus the route."""
-    walk = class_splits(mu) or centralizer_order_sn(mu) <= _EXPLICIT_LIMIT
-    dist = _walked_type_distribution(mu) if walk else centralizer_type_distribution(mu)
+    walk = _none_thrice(mu)
+    dist = _type_distribution(mu, _walked_wreath_distribution if walk else _wreath_type_distribution)
     return _induced_trivial(sum(mu), _tally(mu, dist)), "explicit-centralizer" if walk else "type-distribution"
 
 

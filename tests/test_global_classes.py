@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +8,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from altchar import characters, perms
+from altchar import characters, global_classes, perms
 from altchar.characters import (
     AnClass,
     AnIrrep,
@@ -22,12 +24,11 @@ from altchar.errors import InternalCheckError
 from altchar.numtheory import euler_phi
 from altchar.cli import CLOSED_FORM_BOUND
 from altchar.global_classes import (
-    _EXPLICIT_LIMIT,
     _tally,
-    _walked_type_distribution,
+    _type_distribution,
+    _walked_wreath_distribution,
     _wreath_type_distribution,
     an_inner_products,
-    centralizer_type_distribution,
     global_brute_force,
     is_global_class,
     qualifies,
@@ -103,6 +104,11 @@ def test_centralizer_enumeration(mu):
     w = perms.standard_rep(mu)
     for g in elements:
         assert compose(g, w) == compose(w, g)
+
+
+def centralizer_type_distribution(mu):
+    """How many centralizer elements of standard_rep(mu) have each cycle type, by the recurrence."""
+    return dict(_type_distribution(mu, _wreath_type_distribution))
 
 
 @pytest.mark.parametrize("mu", [(3,), (5, 3), (3, 3), (2, 2, 1), (4, 2), (6, 3, 1)])
@@ -218,13 +224,15 @@ def test_a_repeated_n_builds_no_irreducible():
 
 
 def test_the_explicit_route_builds_one_class_label_per_class(monkeypatch):
-    mu = (1,) * 8  # its tally holds the split types (7, 1) and (5, 3)
-    limit = len(an_classes(sum(mu)))
+    """The split types (7, 1) and (5, 3) on the walk, and (1^8), whose tally holds both, by recurrence."""
+    limit = len(an_classes(8))
     built = constructions(monkeypatch, AnClass)
-    verdict = global_brute_force(mu, bound=sum(mu))
-    assert verdict.method == "explicit-centralizer"
-    assert sum(perms.sign(g) == 1 for g in centralizer_elements(mu)) == 20160
-    assert 0 < len(built) <= limit
+    for mu, method in [((7, 1), "explicit-centralizer"), ((5, 3), "explicit-centralizer"),
+                       ((1,) * 8, "type-distribution")]:
+        built.clear()
+        assert global_brute_force(mu).method == method
+        assert 0 < len(built) <= limit, mu
+    assert sum(perms.sign(g) == 1 for g in centralizer_elements((1,) * 8)) == 20160
 
 
 def test_split_class_of_rejects_non_split_types():
@@ -233,8 +241,8 @@ def test_split_class_of_rejects_non_split_types():
 
 
 def walked_tally(mu):
-    """The explicit route's tally: _tally over the walked type distribution."""
-    return _tally(mu, _walked_type_distribution(mu))
+    """The explicit route's tally: _tally over the walked type distribution, on any type."""
+    return _tally(mu, _type_distribution(mu, _walked_wreath_distribution))
 
 
 def recurrence_tally(mu):
@@ -242,18 +250,20 @@ def recurrence_tally(mu):
     return _tally(mu, centralizer_type_distribution(mu))
 
 
-def explicit_types(n):
-    """The even cycle types on n points that the explicit route takes."""
-    return [mu for mu in partitions(n) if in_alternating(mu) and centralizer_order_sn(mu) <= _EXPLICIT_LIMIT]
+ENUMERATED = math.factorial(8)  # the largest centralizer, of (1^8), that conjugator_tally enumerates
 
 
 def conjugator_tag_types(n):
-    """The types whose explicit tally is checked against conjugator_tally.
+    """The types whose walked tally is checked against conjugator_tally.
 
-    Every type the explicit route takes up to n = 10, and beyond it the
-    qualifying types, which the benchmark's explicit route serves to n = 18.
+    Up to n = 10 every even type whose centralizer has at most ENUMERATED
+    elements, those with a part thrice included, though production takes
+    them by recurrence; beyond it the qualifying types, which the
+    benchmark's explicit route serves to n = 18.
     """
-    return explicit_types(n) if n <= 10 else [mu for mu in partitions(n) if qualifies(mu)]
+    if n > 10:
+        return [mu for mu in partitions(n) if qualifies(mu)]
+    return [mu for mu in partitions(n) if in_alternating(mu) and centralizer_order_sn(mu) <= ENUMERATED]
 
 
 @pytest.mark.parametrize("n", range(1, 19))
@@ -270,22 +280,58 @@ def test_explicit_tally_equals_the_conjugator_tags(n):
 
 
 def test_conjugator_tag_check_leaves_out_only_the_identities():
-    """Of the even types with n <= 10, only (1^9) and (1^10) are past _EXPLICIT_LIMIT.
+    """Of the even types with n <= 10, only (1^9) and (1^10) are past ENUMERATED.
 
-    The check covers all 83 qualifying types with n <= 18.
+    Of the 73 checked, 30 have a part thrice.  The check covers all 83
+    qualifying types with n <= 18.
     """
-    left_out = [mu for n in range(1, 11) for mu in partitions(n) if in_alternating(mu) and mu not in explicit_types(n)]
+    left_out = [mu for n in range(1, 11) for mu in partitions(n)
+                if in_alternating(mu) and mu not in conjugator_tag_types(n)]
     assert left_out == [(1,) * 9, (1,) * 10]
-    assert sum(len(explicit_types(n)) for n in range(1, 11)) == 73
+    checked = [mu for n in range(1, 11) for mu in conjugator_tag_types(n)]
+    assert len(checked) == 73
+    assert sum(max(Counter(mu).values()) >= 3 for mu in checked) == 30
     qualifying = [mu for n in range(1, 19) for mu in partitions(n) if qualifies(mu)]
     assert len(qualifying) == 83
     assert all(mu in conjugator_tag_types(sum(mu)) for mu in qualifying)
 
 
-def test_route_preconditions_are_internal_errors():
-    """The route dispatch keeps the walk within its limit; a bug that breaks it is no bad input."""
-    with pytest.raises(InternalCheckError):
-        _walked_type_distribution((1,) * 10)  # 10! elements, past the explicit limit
+def test_the_walk_takes_at_most_two_cycles_per_factor(monkeypatch):
+    """Production walks only types with no part thrice, so every walked C_l wr S_k has k <= 2.
+
+    The walk then visits l or 2 l**2 elements per factor, with no size
+    guard; every other type, (1^k) among them, goes by recurrence.
+    """
+    calls = []
+
+    def recording(length, k):
+        calls.append((length, k))
+        return _walked_wreath_distribution(length, k)
+
+    monkeypatch.setattr(global_classes, "_walked_wreath_distribution", recording)
+    routes = Counter(an_inner_products(mu)[1] for n in range(1, 17) for mu in partitions(n) if in_alternating(mu))
+    assert routes == {"explicit-centralizer": 208, "type-distribution": 265}
+    assert calls and max(k for _, k in calls) == 2
+
+
+def test_a_large_split_type_takes_the_walk(monkeypatch):
+    """(15, 13, 11, 9, 7, 5, 1) has 675,675 centralizer elements, but its walk visits only 61.
+
+    Its character sum needs columns over every shape of 61, so the sum is
+    stubbed out; the tally it is handed must equal the recurrence's.
+    """
+    mu = (15, 13, 11, 9, 7, 5, 1)
+    assert centralizer_order_sn(mu) == 675_675
+    handed = []
+
+    def handing(n, tally):
+        handed.append(tally)
+        return {}
+
+    monkeypatch.setattr(global_classes, "_induced_trivial", handing)
+    assert an_inner_products(mu) == ({}, "explicit-centralizer")
+    assert handed == [recurrence_tally(mu)]
+    assert len(handed[0]) == 193
 
 
 def test_an_odd_count_on_a_split_type_is_an_internal_error():
@@ -308,7 +354,12 @@ def test_a_miscounted_even_part_is_an_internal_error():
 
 
 def test_inner_products_routes_agree():
-    """The walked and the recurrence type distributions must give one tally, split types included."""
+    """The walked and the recurrence type distributions must give one tally, split types included.
+
+    On every type with a centralizer of at most 20,000 elements up to
+    n = 12, and on every type with no part thrice, the ones production
+    walks, up to n = 18.
+    """
     for mu in [(2, 2), (4, 2), (2, 2, 1, 1), (3, 3), (6, 2), (4, 4)]:
         explicit, _ = an_inner_products(mu)
         assert explicit == _induced_trivial(sum(mu), recurrence_tally(mu))
@@ -319,6 +370,10 @@ def test_inner_products_routes_agree():
                 assert walked_tally(mu) == recurrence_tally(mu), mu
                 checked += 1
     assert checked == 132  # 116 non-split and 16 split types
+    walked = [mu for n in range(1, 19) for mu in partitions(n) if in_alternating(mu) and max(Counter(mu).values()) <= 2]
+    for mu in walked:
+        assert walked_tally(mu) == recurrence_tally(mu), mu
+    assert len(walked) == 332
 
 
 def test_explicit_tally_of_a_split_type_on_its_own_classes():
@@ -588,7 +643,7 @@ def orbit_rows(inner, n):
     return 1 + std, 1 + std + two, 1 + 2 * std + two + wedge
 
 
-@pytest.mark.parametrize("n", range(6, 15))
+@pytest.mark.parametrize("n", range(6, 17))
 def test_three_rows_equal_the_orbit_counts(n):
     """Both tallies and the engine's rows against Burnside, on every even type of n.
 
@@ -608,7 +663,7 @@ def test_three_rows_equal_the_orbit_counts(n):
         assert orbit_rows(inner, n) == orbits, (mu, method)
         routes[method] += 1
         assert orbit_rows(_induced_trivial(n, recurrence_tally(mu)), n) == orbits, mu
-    assert routes["explicit-centralizer"] > 0 and (n < 9 or routes["type-distribution"] > 0)
+    assert routes["explicit-centralizer"] > 0 and routes["type-distribution"] > 0
 
 
 def test_the_closed_form_names_a_global_class_at_every_n():
@@ -622,6 +677,20 @@ def test_the_closed_form_names_a_global_class_at_every_n():
         assert is_global_class(mu).is_global is True, mu
         if n <= 18:
             assert global_brute_force(mu, bound=n).is_global is True, mu
+
+
+def test_the_verdict_table_to_n_16_is_pinned():
+    """Brute-force verdict and witness of every even type with n <= 16, by digest.
+
+    The route each type takes is left out, so renaming a method moves
+    nothing; a change to any verdict or witness fails here.  291 of the 473
+    types are global.
+    """
+    rows = [[list(mu), v.is_global, list(v.witness)] for n in range(1, 17) for mu in partitions(n)
+            if in_alternating(mu) for v in [global_brute_force(mu, bound=n)]]
+    assert (len(rows), sum(is_global for _, is_global, _ in rows)) == (473, 291)
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "a7d0a736d0b78b254719efcb0d017acf87ef194f4d98b90ae9c603cf0e50a992"
 
 
 # --- the symmetric-group analogue ------------------------------------------------
