@@ -29,11 +29,20 @@ from .characters import (
     an_classes,
     an_irreps,
     character_table_an,
+    in_alternating,
     irrep_splits,
     _sn_values,
 )
 from .classify import invariant_failure_an, n_cycle_gaps
-from .global_classes import an_inner_products, global_brute_force, is_global_class, qualifies
+from .global_classes import (
+    an_inner_products,
+    global_brute_force,
+    is_global_class,
+    qualifies,
+    _none_thrice,
+    _type_distribution,
+    _wreath_type_distribution,
+)
 from .multiplicity import (
     an_multiplicity_vector,
     bias_vector,
@@ -46,6 +55,7 @@ from .numtheory import divisors, jacobi
 from .partitions import (
     Partition,
     check_partition,
+    centralizer_order_sn,
     factorize,
     partitions,
     phi,
@@ -306,12 +316,19 @@ def _split_centralizer_failure(mu: Partition) -> str | None:
 
 
 def _criterion_7() -> tuple[bool, str]:
-    """Global classes: closed form equals brute force through weight 20; split types' sums equal table rows."""
-    checked = 0
+    """Global classes: closed form equals brute force through weight 20; split types' sums equal
+    table rows; the recurrence's distributions count Z's point orbits, its part sizes, by Burnside."""
+    checked = recurrences = 0
     for n in range(2, 21):
         for mu in partitions(n):
             if n <= TABLE_BOUND and _distinct_odd(mu) and (failure := _split_centralizer_failure(mu)):
                 return False, failure
+            if n <= 16 and in_alternating(mu) and not _none_thrice(mu):
+                dist = _type_distribution(mu, _wreath_type_distribution)
+                fixed = sum(count * t.count(1) for t, count in dist.items())
+                if fixed != centralizer_order_sn(mu) * len(set(mu)):
+                    return False, f"the recurrence's fixed points at mu={mu} miscount the orbits"
+                recurrences += 1
             if not qualifies(mu):
                 continue
             closed = is_global_class(mu)
@@ -328,8 +345,8 @@ def _criterion_7() -> tuple[bool, str]:
     for mu in ((7, 1), (5, 5), (5, 3, 1), (7, 3, 1)):
         if not global_brute_force(mu).is_global:
             return False, f"{mu} should be global"
-    detail = f"{checked} qualifying types, weights <= 20; named cases confirmed"
-    return True, f"{detail}; split types' row sums, n <= {TABLE_BOUND}"
+    detail = f"{checked} qualifying types, weights <= 20; named cases confirmed; split types' row sums"
+    return True, f"{detail}, n <= {TABLE_BOUND}; {recurrences} recurrence orbit counts, n <= 16"
 
 
 def _inner_product(weights, xs, ys) -> tuple[int, dict[int, int]]:

@@ -18,17 +18,18 @@ by sign; the group's columns are one sparse product, each table row summed
 once over the whole group.  A column sums one row per transpose pair, the
 shape lam >= lam', and writes its transpose's row by the sign twist
 chi^lam'(mu) = sgn(mu) chi^lam(mu).  Callers outside the module hand over
-shapes and class tallies, never masks, rows or columns.
+shapes and type counts, never masks, rows or columns.
 
 Restricting to the alternating group, the representation of a
 non-self-conjugate shape stays irreducible (and equals that of its
 transpose), while a self-conjugate shape splits into a plus and a minus
 half; the split halves take values in Z[(1+sqrt(D))/2] for a single
 discriminant D per split class, which QuadValue stores exactly.
-character_table_an and _induced_trivial read each irreducible's S_n row
-from _irrep_rows; _induced_trivial sums the rows over a subgroup H, given
-by its count of elements per A_n class, into each irreducible's
-multiplicity in the trivial character of H induced up to A_n.
+character_table_an and _row_sums read each irreducible's S_n row from
+_irrep_rows; _row_sums sums the rows over a subgroup, given by its count
+of elements per cycle type, with no split class in the sum: a split
+half's row is its shape's whole row, which global_classes halves and
+corrects by Clifford theory.
 """
 
 from __future__ import annotations
@@ -581,8 +582,8 @@ def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
     many as A_n has classes (200 at n = 18, 860 over every n up to 18).
     The tables for every n up to 18 leave 981 columns and 162 rim tables;
     those at n = 1, 2, 3, 5 and 11 to 18 leave 979 and 161.
-    The column and row memos are shared with _induced_trivial, and
-    neither calls _mn.
+    The column and row memos are shared with _row_sums, and neither
+    calls _mn.
     """
     if n > bound:
         raise ValueError(f"n={n} exceeds the table bound {bound}; raise it explicitly if intended")
@@ -600,37 +601,6 @@ def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
     return CharacterTable(n, reps, classes, values)
 
 
-def _induced_trivial(n: int, tally: dict[tuple[Partition, str], int]) -> dict[AnIrrep, int]:
-    """Multiplicity of each irreducible of A_n in the trivial character of H induced up to A_n.
-
-    H is given by its tally: how many of its elements lie in each class,
-    keyed by (cycle type, tag).  By Frobenius reciprocity the multiplicity
-    of chi is (1/|H|) * sum over H of chi.  Each S_n row is summed whole,
-    count * value, in integers.  A split half differs from half that sum
-    only on its own hook type's split classes, so it reads the split-class
-    cells through _an_value and corrects the sum there; they are of one
-    type, so the radical parts share one D.
-    """
-    counts = list(tally.values())
-    size = sum(counts)
-    split = [(j, AnClass(t, tag), count) for j, ((t, tag), count) in enumerate(tally.items()) if tag]
-    out = {}
-    for rep, row in _irrep_rows(n, [t for t, _ in tally]):
-        total = sum(map(mul, counts, row))
-        if rep.tag != TAG_NONE:
-            radical = 0
-            for j, cls, count in split:
-                v = _an_value(rep, cls, row[j])
-                total += count * (v.a - row[j])
-                radical += count * v.b
-            if radical != 0:
-                raise InternalCheckError(f"radical parts did not cancel for {rep.label()}: {radical}")
-            num, rem = divmod(total, 2)
-            if rem != 0:
-                raise InternalCheckError(f"odd character sum {total} for split {rep.label()}")
-            total = num
-        value, rem = divmod(total, size)
-        if rem != 0 or value < 0:
-            raise InternalCheckError(f"inner product not a non-negative integer: {total}/{size}")
-        out[rep] = value
-    return out
+def _row_sums(n: int, counts: dict[Partition, int]) -> list[tuple[AnIrrep, int]]:
+    """Each irreducible of A_n with its S_n row summed over counts, count * value per cycle type."""
+    return [(rep, sum(map(mul, counts.values(), row))) for rep, row in _irrep_rows(n, list(counts))]

@@ -6,9 +6,25 @@ irreducible.  By Frobenius reciprocity the multiplicity of an irreducible
 chi is (1/|Z|) * sum of chi over the centralizer Z, so the brute-force
 check is a character sum over Z.
 
-The sum itself is characters._induced_trivial, over a tally of the even
-centralizer elements by alternating class that _tally reads off the
-centralizer's cycle-type distribution, with one rule for the split classes.
+The sum is folded by Clifford theory from untagged S_n row sums.  Let Z
+be the S_n-centralizer of w of cycle type mu, e = |Z n A_n| the number of
+its even elements, and S(lam) = sum over even types t of count_t *
+chi^lam(t), from characters._row_sums.  A whole irreducible restricts
+from chi^lam, so its multiplicity is S/e.  When Z has an odd element (mu
+does not split and n >= 2), that element normalizes Z n A_n and swaps the
+two halves of a split lam, so each half takes S/(2e).  When Z lies in
+A_n (mu splits, or n < 2), a half differs from chi^lam/2 only on the two
+classes of its own hook type, (eps +- sqrt(eps M))/2 at lam = phi(mu),
+and the only split type in Z is mu itself: its prod phi(mu_i) elements
+with unit rotations r_i.  Multiplying Z/mu_i by r_i has sign (r_i | mu_i)
+(Frobenius-Zolotarev), so such an element lies in the plus class exactly
+when prod (r_i | mu_i) = 1, and the plus count minus the minus count is
+prod of sum over units r of (r | mu_i): phi(mu_i) when mu_i is a square,
+else 0.  So a half has (S +- c)/(2e), plus on the plus half, with c = 0
+unless every part of mu is a square and lam = phi(mu); there M is the
+square prod mu_i, eps = 1 because every odd square is 1 mod 8, and
+c = prod phi(mu_i) * sqrt(mu_i).  No sum reads a split class's tag.
+
 The centralizer is a direct product of wreath products C_l wr S_k, one per
 family of k cycles of length l.  The two routes, a verdict's method, differ
 only in where each factor's distribution comes from: "explicit-centralizer"
@@ -28,14 +44,12 @@ from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 
 from .characters import (
-    TAG_NONE,
     TAG_PLUS,
-    TAG_MINUS,
     AnIrrep,
     an_irreps,
     class_splits,
     in_alternating,
-    _induced_trivial,
+    _row_sums,
 )
 from .errors import InternalCheckError
 from .partitions import (
@@ -43,6 +57,7 @@ from .partitions import (
     centralizer_order_sn,
     check_partition,
     format_partition,
+    _phi,
 )
 from . import perms
 
@@ -157,45 +172,42 @@ def _type_distribution(mu: Partition, factor) -> Counter:
     return dist
 
 
-def _tally(mu: Partition, dist) -> Counter:
-    """Even centralizer elements of standard_rep(mu) per (cycle type, tag) key, from the type distribution dist.
-
-    When mu does not split, an odd centralizer element swaps the two
-    classes of each split type, so each takes half the type's count.  When
-    mu splits, the centralizer is the product of its cycles' rotations, and
-    mu is its one split type: the elements with unit rotations r_i.
-    Multiplying Z/mu_i by r_i has sign (r_i | mu_i) (Frobenius-Zolotarev),
-    so such an element is plus, in the class of standard_rep(mu), exactly
-    when prod (r_i | mu_i) = 1: all prod phi(mu_i) of them when every part
-    is a square, as the six unit rotations of the 9-cycle at (9, 1), and
-    half otherwise, as 4 and 4 at (5, 3).
-
-    >>> tallies = {mu: _tally(mu, _type_distribution(mu, _wreath_type_distribution)) for mu in ((9, 1), (5, 3))}
-    >>> [tallies[mu][mu, tag] for mu in tallies for tag in "+-"]
-    [6, 0, 4, 4]
-    """
-    tally: Counter = Counter()
-    for t, count in dist.items():
-        if not in_alternating(t):
-            continue
-        if not class_splits(t):
-            tally[t, TAG_NONE] = count
-        elif t != mu and count % 2:
-            raise InternalCheckError(f"odd count {count} on split type {t} in the centralizer of {mu}")
-        else:
-            plus = count if t == mu and all(math.isqrt(p) ** 2 == p for p in mu) else count // 2
-            tally[t, TAG_PLUS], tally[t, TAG_MINUS] = plus, count - plus
-    # With no odd element (mu splits or has fewer than 2 points) every element is even; else half are.
-    if (1 if class_splits(mu) or sum(mu) < 2 else 2) * sum(tally.values()) != centralizer_order_sn(mu):
-        raise InternalCheckError(f"the even elements of the centralizer of {mu} are miscounted")
-    return tally
-
-
 def an_inner_products(mu: Partition) -> tuple[dict[AnIrrep, int], str]:
-    """Multiplicities of each irreducible in the induced trivial, plus the route."""
+    """Multiplicities of each irreducible in the induced trivial, plus the route.
+
+    The Clifford fold of the module docstring: one row sum S per shape over
+    the even types, divided by e, or by 2e on a split half after the
+    correction c, which is nonzero only at the plus and minus halves of
+    phi(mu) when mu splits into square parts.  The even elements must number
+    |Z| or |Z|/2, and every quotient must be a non-negative integer.
+
+    At (9,), e = 9 and c = 6 * 3, from the six unit rotations of the
+    9-cycle, so the halves of phi(9) = (5, 1, 1, 1, 1) part by 2:
+
+    >>> inner, _ = an_inner_products((9,))
+    >>> [inner[AnIrrep((5, 1, 1, 1, 1), tag)] for tag in "+-"]
+    [5, 3]
+    """
     walk = _none_thrice(mu)
     dist = _type_distribution(mu, _walked_wreath_distribution if walk else _wreath_type_distribution)
-    return _induced_trivial(sum(mu), _tally(mu, dist)), "explicit-centralizer" if walk else "type-distribution"
+    even = {t: count for t, count in dist.items() if in_alternating(t)}
+    size = sum(even.values())
+    # With no odd element (mu splits or has fewer than 2 points) every element is even; else half are.
+    if (1 if class_splits(mu) or sum(mu) < 2 else 2) * size != centralizer_order_sn(mu):
+        raise InternalCheckError(f"the even elements of the centralizer of {mu} are miscounted")
+    squares = class_splits(mu) and all(math.isqrt(p) ** 2 == p for p in mu)
+    hook = _phi(mu) if squares else None
+    c = even[mu] * math.isqrt(math.prod(mu)) if squares else 0  # even[mu] = prod phi(mu_i)
+    out = {}
+    for rep, total in _row_sums(sum(mu), even):
+        if rep.lam == hook:
+            total += c if rep.tag == TAG_PLUS else -c
+        den = 2 * size if rep.tag else size
+        value, rem = divmod(total, den)
+        if rem != 0 or value < 0:
+            raise InternalCheckError(f"inner product not a non-negative integer: {total}/{den}")
+        out[rep] = value
+    return out, "explicit-centralizer" if walk else "type-distribution"
 
 
 def global_brute_force(mu: Partition, bound: int = BRUTE_FORCE_BOUND) -> GlobalVerdict:

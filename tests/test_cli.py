@@ -12,7 +12,7 @@ import pytest
 from jsonschema import validate
 
 import altchar
-from altchar import characters, cli
+from altchar import cli, global_classes
 from altchar.acceptance import ALL_CRITERIA
 from altchar.characters import QuadValue, class_splits, irrep_splits
 from altchar.cli import main
@@ -299,13 +299,15 @@ def test_selftest_checks_survive_optimized_mode():
     assert json.loads(proc.stdout)["results"]["passed"] == len(ALL_CRITERIA)
 
 
-def test_irrational_inner_product_exits_1(monkeypatch):
-    """A character sum whose radical parts fail to cancel is an internal fault."""
-    monkeypatch.setattr(characters, "_an_value", lambda rep, cls, value: QuadValue(1, 1, 5))
-    code, out, err = run_cli("global", "--mu", "5,3", "--verify")  # tally holds (5,3):+ and (5,3):-
+def test_a_fractional_inner_product_exits_1(monkeypatch):
+    """A row sum that the centralizer's even elements do not divide is an internal fault."""
+    row_sums = global_classes._row_sums
+    monkeypatch.setattr(global_classes, "_row_sums",
+                        lambda n, counts: [(rep, total + 1) for rep, total in row_sums(n, counts)])
+    code, out, err = run_cli("global", "--mu", "5,3", "--verify")
     assert code == 1
     assert out == ""
-    assert err.startswith("internal check failed: radical parts did not cancel")
+    assert err.startswith("internal check failed: inner product not a non-negative integer")
 
 
 # --- the operand path -------------------------------------------------------

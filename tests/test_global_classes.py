@@ -12,9 +12,9 @@ from altchar import characters, global_classes, perms
 from altchar.characters import (
     AnClass,
     AnIrrep,
-    _induced_trivial,
+    _an_value,
+    _irrep_rows,
     _mn,
-    an_classes,
     an_irreps,
     class_splits,
     in_alternating,
@@ -24,7 +24,6 @@ from altchar.errors import InternalCheckError
 from altchar.numtheory import euler_phi
 from altchar.cli import CLOSED_FORM_BOUND
 from altchar.global_classes import (
-    _tally,
     _type_distribution,
     _walked_wreath_distribution,
     _wreath_type_distribution,
@@ -170,7 +169,7 @@ def test_wreath_distribution_counts_the_whole_factor():
 def split_class_of(sigma):
     """Tag of the split class containing sigma, by the parity of a conjugator.
 
-    The oracle for _tally's tags: perms.conjugator builds some
+    The oracle for tag_tally's tags: perms.conjugator builds some
     rho with rho standard_rep(t) rho^-1 == sigma, and sigma lies in the
     plus class, that of standard_rep(t), exactly when rho is even.
     """
@@ -223,15 +222,16 @@ def test_a_repeated_n_builds_no_irreducible():
     assert after.misses == before.misses and after.hits > before.hits
 
 
-def test_the_explicit_route_builds_one_class_label_per_class(monkeypatch):
-    """The split types (7, 1) and (5, 3) on the walk, and (1^8), whose tally holds both, by recurrence."""
-    limit = len(an_classes(8))
+def test_the_inner_products_build_no_class_label(monkeypatch):
+    """The split types (7, 1) and (5, 3) on the walk, and (1^8), whose centralizer holds both, by recurrence.
+
+    The fold sums untagged rows over cycle types, so no AnClass is built.
+    """
     built = constructions(monkeypatch, AnClass)
     for mu, method in [((7, 1), "explicit-centralizer"), ((5, 3), "explicit-centralizer"),
                        ((1,) * 8, "type-distribution")]:
-        built.clear()
         assert global_brute_force(mu).method == method
-        assert 0 < len(built) <= limit, mu
+    assert built == []
     assert sum(perms.sign(g) == 1 for g in centralizer_elements((1,) * 8)) == 20160
 
 
@@ -240,14 +240,81 @@ def test_split_class_of_rejects_non_split_types():
         split_class_of(perms.standard_rep((3, 3)))
 
 
+def tag_tally(mu, dist) -> Counter:
+    """Even centralizer elements of standard_rep(mu) per (cycle type, tag) key, from the type distribution dist.
+
+    The tagged reference route, against which the Clifford fold of
+    an_inner_products is checked.  When mu does not split, an odd
+    centralizer element swaps the two classes of each split type, so each
+    takes half the type's count.  When mu splits, the centralizer is the
+    product of its cycles' rotations, and mu is its one split type: the
+    elements with unit rotations r_i.  Multiplying Z/mu_i by r_i has sign
+    (r_i | mu_i) (Frobenius-Zolotarev), so such an element is plus, in the
+    class of standard_rep(mu), exactly when prod (r_i | mu_i) = 1: all
+    prod phi(mu_i) of them when every part is a square, as the six unit
+    rotations of the 9-cycle at (9, 1), and half otherwise, as 4 and 4 at
+    (5, 3).
+    """
+    tally = Counter()
+    for t, count in dist.items():
+        if not in_alternating(t):
+            continue
+        if not class_splits(t):
+            tally[t, ""] = count
+        else:
+            assert t == mu or count % 2 == 0, (mu, t, count)
+            plus = count if t == mu and all(math.isqrt(p) ** 2 == p for p in mu) else count // 2
+            tally[t, "+"], tally[t, "-"] = plus, count - plus
+    assert (1 if class_splits(mu) or sum(mu) < 2 else 2) * sum(tally.values()) == centralizer_order_sn(mu), mu
+    return tally
+
+
+def induced_trivial(n, tally):
+    """Multiplicity of each irreducible of A_n in the trivial character of H induced up to A_n.
+
+    H is given by its tally per (cycle type, tag) key.  Each S_n row is
+    summed whole, count * value; a split half differs from half that sum
+    only on its own hook type's split classes, so it reads those cells
+    through _an_value and corrects the sum there, and their radical parts
+    must cancel.
+    """
+    counts = list(tally.values())
+    size = sum(counts)
+    split = [(j, AnClass(t, tag), count) for j, ((t, tag), count) in enumerate(tally.items()) if tag]
+    out = {}
+    for rep, row in _irrep_rows(n, [t for t, _ in tally]):
+        total = sum(c * v for c, v in zip(counts, row))
+        if rep.tag:
+            radical = 0
+            for j, cls, count in split:
+                v = _an_value(rep, cls, row[j])
+                total += count * (v.a - row[j])
+                radical += count * v.b
+            assert radical == 0 and total % 2 == 0, rep.label()
+            total //= 2
+        assert total % size == 0 and total >= 0, rep.label()
+        out[rep] = total // size
+    return out
+
+
 def walked_tally(mu):
-    """The explicit route's tally: _tally over the walked type distribution, on any type."""
-    return _tally(mu, _type_distribution(mu, _walked_wreath_distribution))
+    """The explicit route's tally: tag_tally over the walked type distribution, on any type."""
+    return tag_tally(mu, _type_distribution(mu, _walked_wreath_distribution))
 
 
 def recurrence_tally(mu):
-    """The distribution route's tally: _tally over the recurrence's type distribution."""
-    return _tally(mu, centralizer_type_distribution(mu))
+    """The distribution route's tally: tag_tally over the recurrence's type distribution."""
+    return tag_tally(mu, centralizer_type_distribution(mu))
+
+
+def tagged_inner_products(mu):
+    """The tagged reference route: the recurrence's tally summed class by class."""
+    return induced_trivial(sum(mu), recurrence_tally(mu))
+
+
+def even_types(mu):
+    """The recurrence's count of even centralizer elements per cycle type."""
+    return {t: count for t, count in centralizer_type_distribution(mu).items() if in_alternating(t)}
 
 
 ENUMERATED = math.factorial(8)  # the largest centralizer, of (1^8), that conjugator_tally enumerates
@@ -317,52 +384,73 @@ def test_the_walk_takes_at_most_two_cycles_per_factor(monkeypatch):
 def test_a_large_split_type_takes_the_walk(monkeypatch):
     """(15, 13, 11, 9, 7, 5, 1) has 675,675 centralizer elements, but its walk visits only 61.
 
-    Its character sum needs columns over every shape of 61, so the sum is
-    stubbed out; the tally it is handed must equal the recurrence's.
+    Its row sums need columns over every shape of 61, so the sum is
+    stubbed out; the type counts it is handed must equal the recurrence's
+    even types.
     """
     mu = (15, 13, 11, 9, 7, 5, 1)
     assert centralizer_order_sn(mu) == 675_675
     handed = []
 
-    def handing(n, tally):
-        handed.append(tally)
-        return {}
+    def handing(n, counts):
+        handed.append((n, counts))
+        return []
 
-    monkeypatch.setattr(global_classes, "_induced_trivial", handing)
+    monkeypatch.setattr(global_classes, "_row_sums", handing)
     assert an_inner_products(mu) == ({}, "explicit-centralizer")
-    assert handed == [recurrence_tally(mu)]
-    assert len(handed[0]) == 193
+    assert handed == [(61, even_types(mu))]
+    assert len(handed[0][1]) == 192
 
 
-def test_an_odd_count_on_a_split_type_is_an_internal_error():
-    """Each half of a split type gets half its count, so the count must be even."""
-    # (2, 2) has 8 centralizer elements, and these 4 even ones are half of them.
+def test_an_odd_count_on_a_split_type_is_an_internal_error(monkeypatch):
+    """The fold never halves a type's count, so no check reads one type's count alone.
+
+    (2, 2) has 8 centralizer elements, and these 4 even ones are half of
+    them, but the split type (3, 1) takes 3 of them, an odd count.  The
+    fault shows where a quotient fails: the row of (3, 1) sums 3 * 0 + 1 * 3
+    over 4 elements.
+    """
     fake = {(3, 1): 3, (1, 1, 1, 1): 1, (2, 1, 1): 4}
-    with pytest.raises(InternalCheckError, match="odd count 3 on split type"):
-        _tally((2, 2), fake)
+    monkeypatch.setattr(global_classes, "_walked_wreath_distribution", lambda length, k: fake.items())
+    with pytest.raises(InternalCheckError, match="inner product not a non-negative integer: 3/4"):
+        an_inner_products((2, 2))
 
 
-def test_a_miscounted_even_part_is_an_internal_error():
-    """Half the centralizer is even when it holds an odd element, and all of it when mu splits."""
-    with pytest.raises(InternalCheckError, match="miscounted"):
-        _tally((2, 2), {(2, 2): 8})  # the 8 elements of the centralizer of (2, 2), all counted even
-    with pytest.raises(InternalCheckError, match="miscounted"):
-        _tally((5, 3), {(5, 3): 8, (5, 1, 1, 1): 4, (3, 1, 1, 1, 1, 1): 2})  # 14 of its 15 elements
+def test_a_miscounted_even_part_is_an_internal_error(monkeypatch):
+    """Half the centralizer is even when it holds an odd element, and all of it when mu splits.
+
+    The walked factors are replaced: C_2 wr S_2 by its 8 elements all
+    counted as (2, 2), and C_3 by 3 elements, one of them odd, so that 10
+    of the 15 elements of the centralizer of (5, 3) are even.  A factor of
+    the wrong size fails the order check first.
+    """
+    fakes = {(2, 2): (((2, 2), 8),), (3, 1): (((3,), 2), ((2, 1), 1)), (3, 2): (((3,), 2),)}
+    walk = global_classes._walked_wreath_distribution
+    monkeypatch.setattr(global_classes, "_walked_wreath_distribution",
+                        lambda length, k: fakes.get((length, k), walk(length, k)))
+    for mu in [(2, 2), (5, 3)]:
+        with pytest.raises(InternalCheckError, match="are miscounted"):
+            an_inner_products(mu)
+    with pytest.raises(InternalCheckError, match="has the wrong size"):
+        an_inner_products((3, 3))
 
 
 # --- brute force ----------------------------------------------------------------
 
 
 def test_inner_products_routes_agree():
-    """The walked and the recurrence type distributions must give one tally, split types included.
+    """The fold equals the tagged route, and the two type distributions give one tally.
 
-    On every type with a centralizer of at most 20,000 elements up to
-    n = 12, and on every type with no part thrice, the ones production
-    walks, up to n = 18.
+    The fold, on its own route, against the recurrence's tally summed class
+    by class on all 473 even types up to n = 16.  The walked and the
+    recurrence tallies, split types included, on every type with a
+    centralizer of at most 20,000 elements up to n = 12, and on every type
+    with no part thrice, the ones production walks, up to n = 18.
     """
-    for mu in [(2, 2), (4, 2), (2, 2, 1, 1), (3, 3), (6, 2), (4, 4)]:
-        explicit, _ = an_inner_products(mu)
-        assert explicit == _induced_trivial(sum(mu), recurrence_tally(mu))
+    folded = [mu for n in range(1, 17) for mu in partitions(n) if in_alternating(mu)]
+    for mu in folded:
+        assert an_inner_products(mu)[0] == tagged_inner_products(mu), mu
+    assert len(folded) == 473
     checked = 0
     for n in range(2, 13):
         for mu in partitions(n):
@@ -453,9 +541,8 @@ def test_distribution_route_equals_per_entry_sums(mu):
 @pytest.mark.parametrize("mu", [(5, 3), (3, 3, 1, 1), (7, 5, 1), (2, 2) + (1,) * 8, (3,) + (1,) * 9])
 def test_inner_products_leave_only_their_tally_types_and_suffixes(monkeypatch, mu):
     monkeypatch.setattr(characters, "_COLUMNS", {(): (1,)})
-    _, method = an_inner_products(mu)
-    tally = walked_tally(mu) if method == "explicit-centralizer" else recurrence_tally(mu)
-    assert set(characters._COLUMNS) == suffix_closure(t for t, _ in tally)
+    an_inner_products(mu)
+    assert set(characters._COLUMNS) == suffix_closure(even_types(mu))
 
 
 def test_global_does_not_fill_the_entry_memo():
@@ -645,12 +732,12 @@ def orbit_rows(inner, n):
 
 @pytest.mark.parametrize("n", range(6, 17))
 def test_three_rows_equal_the_orbit_counts(n):
-    """Both tallies and the engine's rows against Burnside, on every even type of n.
+    """The even types and both routes' rows against Burnside, on every even type of n.
 
     The orbits come from the centralizer's generators; the even part of the
     type distribution must give the same counts by Burnside, and the rows
-    of an_inner_products, on its own route and on the distribution route,
-    the same counts by Young's rule.
+    of an_inner_products, on its own route, and of the tagged reference
+    route, the same counts by Young's rule.
     """
     routes = Counter()
     for mu in partitions(n):
@@ -662,7 +749,7 @@ def test_three_rows_equal_the_orbit_counts(n):
         inner, method = an_inner_products(mu)
         assert orbit_rows(inner, n) == orbits, (mu, method)
         routes[method] += 1
-        assert orbit_rows(_induced_trivial(n, recurrence_tally(mu)), n) == orbits, mu
+        assert orbit_rows(tagged_inner_products(mu), n) == orbits, mu
     assert routes["explicit-centralizer"] > 0 and routes["type-distribution"] > 0
 
 
@@ -691,6 +778,20 @@ def test_the_verdict_table_to_n_16_is_pinned():
     assert (len(rows), sum(is_global for _, is_global, _ in rows)) == (473, 291)
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "a7d0a736d0b78b254719efcb0d017acf87ef194f4d98b90ae9c603cf0e50a992"
+
+
+def test_the_multiplicities_to_n_18_are_pinned():
+    """Every multiplicity of every even type with n <= 18, by digest.
+
+    Each row is the type and its sorted (label, multiplicity) pairs, with
+    the route left out.  The digest was recorded with the tagged sum, before
+    the Clifford fold replaced it, so the fold moves no multiplicity.
+    """
+    rows = [[list(mu), sorted([rep.label(), m] for rep, m in an_inner_products(mu)[0].items())]
+            for n in range(1, 19) for mu in partitions(n) if in_alternating(mu)]
+    assert len(rows) == 819
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "b25c8bef42c6c1164a688723d8fbef7196c47ec5df86963c6acf5d11157d9b18"
 
 
 # --- the symmetric-group analogue ------------------------------------------------

@@ -156,7 +156,7 @@ COLUMN_INTERNALS = {
 )
 def test_only_characters_reads_masks_rows_and_columns(path):
     """Beta-set masks, shape rows and the column memo stay inside characters:
-    other modules hand over shapes and class tallies, and read values back."""
+    other modules hand over shapes and type counts, and read values back."""
     assert _reads(path.read_text(), COLUMN_INTERNALS) == []
 
 
@@ -181,8 +181,8 @@ def _perms_reads(source: str) -> list[str]:
 
 
 def test_global_classes_reads_only_cycles_from_perms():
-    """The explicit route walks each factor for its elements' cycles; _tally's
-    rule tags split elements, so no sign or conjugator is taken."""
+    """The explicit route walks each factor for its elements' cycles; the
+    Clifford fold tags no element, so no sign or conjugator is taken."""
     assert _perms_reads((PACKAGE / "global_classes.py").read_text()) == ["cycles"]
 
 
