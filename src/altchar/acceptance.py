@@ -34,15 +34,8 @@ from .characters import (
     _sn_values,
 )
 from .classify import invariant_failure_an, n_cycle_gaps
-from .global_classes import (
-    an_inner_products,
-    global_brute_force,
-    is_global_class,
-    qualifies,
-    _none_thrice,
-    _type_distribution,
-    _wreath_type_distribution,
-)
+from .global_classes import an_inner_products, global_brute_force, is_global_class, qualifies
+from .global_classes import _none_thrice, _type_distribution, _wreath_type_distribution
 from .multiplicity import (
     an_multiplicity_vector,
     bias_vector,

@@ -15,8 +15,9 @@ does not split and n >= 2), that element normalizes Z n A_n and swaps the
 two halves of a split lam, so each half takes S/(2e).  When Z lies in
 A_n (mu splits, or n < 2), a half differs from chi^lam/2 only on the two
 classes of its own hook type, (eps +- sqrt(eps M))/2 at lam = phi(mu),
-and the only split type in Z is mu itself: its prod phi(mu_i) elements
-with unit rotations r_i.  Multiplying Z/mu_i by r_i has sign (r_i | mu_i)
+the self-conjugate shape of diagonal hook lengths mu; and the only split
+type in Z is mu itself: its prod phi(mu_i) elements (Euler's phi) with
+unit rotations r_i.  Multiplying Z/mu_i by r_i has sign (r_i | mu_i)
 (Frobenius-Zolotarev), so such an element lies in the plus class exactly
 when prod (r_i | mu_i) = 1, and the plus count minus the minus count is
 prod of sum over units r of (r | mu_i): phi(mu_i) when mu_i is a square,
@@ -175,14 +176,9 @@ def _type_distribution(mu: Partition, factor) -> Counter:
 def an_inner_products(mu: Partition) -> tuple[dict[AnIrrep, int], str]:
     """Multiplicities of each irreducible in the induced trivial, plus the route.
 
-    The Clifford fold of the module docstring: one row sum S per shape over
-    the even types, divided by e, or by 2e on a split half after the
-    correction c, which is nonzero only at the plus and minus halves of
-    phi(mu) when mu splits into square parts.  The even elements must number
-    |Z| or |Z|/2, and every quotient must be a non-negative integer.
-
-    At (9,), e = 9 and c = 6 * 3, from the six unit rotations of the
-    9-cycle, so the halves of phi(9) = (5, 1, 1, 1, 1) part by 2:
+    The Clifford fold of the module docstring.  At (9,), e = 9 and c = 6 * 3,
+    from the six unit rotations of the 9-cycle, so the halves of
+    phi(9) = (5, 1, 1, 1, 1) part by 2:
 
     >>> inner, _ = an_inner_products((9,))
     >>> [inner[AnIrrep((5, 1, 1, 1, 1), tag)] for tag in "+-"]
