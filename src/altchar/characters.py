@@ -13,10 +13,11 @@ every shape's value at one cycle type, serve the A_n character tables
 and the character sums over a subgroup: _fill_columns builds the columns
 of many types at once into the dict _COLUMNS.  Types that share
 (n, h = mu[0], parity of n - len(mu)) form one group, with one rim table
-per (n, h) whose rows hold the rows left by each shape's h-rim hooks, split
-by sign; the group's columns are one sparse product, each table row summed
-once over the whole group.  A column sums one row per transpose pair, the
-shape lam >= lam', and writes its transpose's row by the sign twist
+per (n, h) that holds only the shapes lam >= lam' with an h-rim hook, each
+with the rows its h-rim hooks leave, split by sign; the group's columns
+are one sparse product, each table row summed once over the whole group,
+and every shape the table leaves out is 0 there.  A column sums one row
+per transpose pair and writes its transpose's row by the sign twist
 chi^lam'(mu) = sgn(mu) chi^lam(mu).  Callers outside the module hand over
 shapes and type counts, never masks, rows or columns.
 
@@ -35,7 +36,6 @@ corrects by Clifford theory.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
 from operator import add, mul, neg, sub
@@ -178,26 +178,31 @@ def _row_index(n: int) -> tuple[dict[int, int], tuple[int, ...]]:
 
 @cache
 def _rim_table(n: int, h: int) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
-    """For each row r of partitions(n) with lam >= lam': (r, twin[r], plus, minus).
+    """For each row r of partitions(n) with lam >= lam' and an h-rim hook: (r, twin[r], plus, minus).
 
     plus and minus hold the rows in partitions(n - h) of lam's h-rim hooks
     of sign +1 and -1, split once, here.  It walks the masks of
-    _row_index(n), which are in partitions(n) order, and finds each smaller
-    shape's row by its mask in _row_index(n - h).  The memo holds one such
-    tuple per (n, h); the _row_index memo holds one mask-to-row dict and one
-    transpose map per size.  At n = 4, h = 2 the self-conjugate row (2, 2)
-    loses a horizontal domino with sign +1, leaving (2,), and a vertical
-    one with sign -1, leaving (1, 1):
+    _row_index(n), which are in partitions(n) order, skips a row with no
+    h-rim hook by the test _rim_hooks starts with, and finds each smaller
+    shape's row by its mask in _row_index(n - h).  A skipped row, and its
+    transpose's, is 0 in every column of first part h.  The memo holds one
+    such tuple per (n, h); the _row_index memo holds one mask-to-row dict
+    and one transpose map per size.  At n = 4, h = 2 the self-conjugate row
+    (2, 2) loses a horizontal domino with sign +1, leaving (2,), and a
+    vertical one with sign -1, leaving (1, 1).  At h = 3 the row (3, 1),
+    of hook lengths 4, 2, 1 and 1, has no 3-rim hook and is left out:
 
     >>> partitions(4)[2], partitions(2)
     ((2, 2), ((2,), (1, 1)))
     >>> _rim_table(4, 2)
     ((0, 4, (0,), ()), (1, 3, (1,), ()), (2, 2, (0,), (1,)))
+    >>> _rim_table(4, 3)
+    ((0, 4, (0,), ()), (2, 2, (), (0,)))
     """
     (index, twin), below = _row_index(n), _row_index(n - h)[0]
     out = []
     for r, (beta, t) in enumerate(zip(index, twin)):
-        if r <= t:
+        if r <= t and (beta & ~(beta << h)) >> h:  # _rim_hooks' own first step: lam has an h-rim hook
             plus, minus = [], []
             for sign, smaller in _rim_hooks(beta, h):
                 (plus if sign > 0 else minus).append(below[smaller])
@@ -233,7 +238,7 @@ def _fill_columns(types) -> None:
         below = list(zip(*[_COLUMNS[mu[1:]] for mu in group]))
         rows = [(0,) * len(group)] * len(_row_index(n)[1])
         for r, t, plus, minus in _rim_table(n, h):
-            if (odd and r == t) or not (plus or minus):
+            if odd and r == t:
                 continue
             if plus:
                 row = below[plus[0]]
@@ -270,7 +275,7 @@ def mn_character(lam: Partition, mu: Partition) -> int:
 
 def in_alternating(mu: Partition) -> bool:
     """True when permutations of cycle type mu are even."""
-    return sum(1 for p in mu if p % 2 == 0) % 2 == 0
+    return (sum(mu) - len(mu)) % 2 == 0  # the sign is (-1)^(n - number of cycles)
 
 
 def class_splits(mu: Partition) -> bool:
@@ -499,16 +504,14 @@ class QuadValue:
         return f"({body})/2" if self.a else f"{body}/2"
 
 
-def _an_value(rep: AnIrrep, cls: AnClass, value: int,
-              half: Callable[[int], QuadValue] = QuadValue.half) -> QuadValue:
+def _an_value(rep: AnIrrep, cls: AnClass, value: int) -> QuadValue:
     """The value of rep at cls, given value, the S_n value of rep.lam at cls.mu.
 
     On a whole irreducible it is value itself.  A split half takes
     (eps +- sqrt(eps*M))/2 on the two classes of its own hook type (plus
-    sign when the tags agree), and value/2, as half(value), everywhere
-    else; a caller may pass a half that hands out shared QuadValues.  Both
-    constants come from the parts of the split type: eps from _epsilon,
-    and M, the part product, as root**2 * core from _squarefree_split.
+    sign when the tags agree), and value/2 everywhere else.  Both constants
+    come from the parts of the split type: eps from _epsilon, and M, the
+    part product, as root**2 * core from _squarefree_split.
     """
     if rep.tag == TAG_NONE:
         return QuadValue.whole(value)
@@ -517,7 +520,7 @@ def _an_value(rep: AnIrrep, cls: AnClass, value: int,
         root, core = _squarefree_split(math.prod(cls.mu))
         b = root if rep.tag == cls.tag else -root
         return QuadValue(eps, b, eps * core)
-    return half(value)
+    return QuadValue.half(value)
 
 
 def _irrep_rows(n: int, types: list[Partition]) -> list[tuple[AnIrrep, tuple[int, ...]]]:
@@ -571,17 +574,20 @@ def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
     the MN rule, one rim-table pass per (n, mu[0], parity) group, summing
     one row per transpose pair.  Whole rows share one QuadValue per
     distinct S_n value, and split rows one QuadValue.half per value, from
-    memos that live for this call; split rows go through _an_value.
-    Four unbounded memos back it, as one does _mn, whose keys are
-    (beta-set mask, suffix of mu) pairs: the _COLUMNS dict, filled per
+    memos that live for this call; only a split row's two cells at its
+    own hook type, the classes of the mu with phi(mu) = lam, go through
+    _an_value.  Four unbounded memos back it, as one does _mn, whose keys
+    are (beta-set mask, suffix of mu) pairs: the _COLUMNS dict, filled per
     group, holds one tuple per type asked and per suffix of one,
-    _rim_table one tuple of kept rows with their transpose rows and plus
-    and minus hook rows per (n, h) it met, _row_index one dict from
-    beta-set mask to row and one transpose map per size, and _irrep_index
-    one tuple of irreducible labels and one of their rows per size, as
-    many as A_n has classes (200 at n = 18, 860 over every n up to 18).
-    The tables for every n up to 18 leave 981 columns and 162 rim tables;
-    those at n = 1, 2, 3, 5 and 11 to 18 leave 979 and 161.
+    _rim_table one tuple of the kept rows with an h-rim hook, with their
+    transpose rows and plus and minus hook rows, per (n, h) it met,
+    _row_index one dict from beta-set mask to row and one transpose map
+    per size, and _irrep_index one tuple of irreducible labels and one of
+    their rows per size, as many as A_n has classes (200 at n = 18, 860
+    over every n up to 18).  The tables for every n up to 18 leave 981
+    columns and 162 rim tables of 7,238 rows; those at n = 1, 2, 3, 5 and
+    11 to 18 leave 979 and 161 of 7,233 rows, where every kept row in
+    every rim table made 11,561.
     The column and row memos are shared with _row_sums, and neither
     calls _mn.
     """
@@ -592,13 +598,17 @@ def character_table_an(n: int, bound: int = TABLE_BOUND) -> CharacterTable:
     if len(reps) != len(classes):
         raise InternalCheckError(f"A_{n} has {len(reps)} irreducibles but {len(classes)} classes")
     whole, half = cache(QuadValue.whole), cache(QuadValue.half)
-    values = tuple(
-        tuple(_an_value(r, c, v, half) for c, v in zip(classes, row))
-        if r.tag
-        else tuple(map(whole, row))
-        for r, row in _irrep_rows(n, [c.mu for c in classes])
-    )
-    return CharacterTable(n, reps, classes, values)
+    own: dict[Partition, list[int]] = {}  # self-conjugate phi(mu) -> the columns of mu's two classes
+    for j, c in enumerate(classes):
+        if c.tag:
+            own.setdefault(_phi(c.mu), []).append(j)
+    values = []
+    for r, row in _irrep_rows(n, [c.mu for c in classes]):
+        cells = list(map(half if r.tag else whole, row))
+        for j in own.get(r.lam, ()):  # a split row's own hook type; no whole row's shape is a key
+            cells[j] = _an_value(r, classes[j], row[j])
+        values.append(tuple(cells))
+    return CharacterTable(n, reps, classes, tuple(values))
 
 
 def _row_sums(n: int, counts: dict[Partition, int]) -> list[tuple[AnIrrep, int]]:

@@ -31,7 +31,10 @@ family of k cycles of length l.  The two routes, a verdict's method, differ
 only in where each factor's distribution comes from: "explicit-centralizer"
 walks its elements, when no part occurs thrice (the classification's own
 hypothesis), so each factor has k <= 2 and l or 2 l**2 elements;
-"type-distribution" takes the recurrence _wreath_type_distribution.
+"type-distribution" takes the recurrence _wreath_type_distribution.  Both
+are memoized per (l, k) as sorted (type, count) tuples, so a factor is
+walked once per process however many types share it; with k <= 2 the walk
+memo holds at most two entries per cycle length.
 """
 
 from __future__ import annotations
@@ -125,14 +128,15 @@ def _convolve(left, right) -> Counter:
     return out
 
 
-def _walked_wreath_distribution(length: int, k: int):
+@cache
+def _walked_wreath_distribution(length: int, k: int) -> tuple[tuple[Partition, int], ...]:
     """Cycle-type distribution of C_length wr S_k, walked: each element takes block j, the points
-    j*length onwards, to block arrangement[j] with its own rotation."""
+    j*length onwards, to block arrangement[j] with its own rotation; memoized as the recurrence is."""
     blocks = [[tuple(b * length + (t + r) % length for t in range(length)) for r in range(length)]
               for b in range(k)]
     words = (tuple(chain.from_iterable(rotated)) for arrangement in iter_permutations(range(k))
              for rotated in iter_product(*[blocks[b] for b in arrangement]))
-    return Counter(tuple(sorted(map(len, perms.cycles(w)), reverse=True)) for w in words).items()
+    return tuple(sorted(Counter(tuple(sorted(map(len, perms.cycles(w)), reverse=True)) for w in words).items()))
 
 
 @cache

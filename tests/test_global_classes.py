@@ -381,6 +381,32 @@ def test_the_walk_takes_at_most_two_cycles_per_factor(monkeypatch):
     assert calls and max(k for _, k in calls) == 2
 
 
+def test_the_walk_visits_each_factor_once_per_process(monkeypatch):
+    """The walk memo: each walked C_l wr S_k hands its l or 2 l**2 elements to perms.cycles once.
+
+    Over the 473 even types up to n = 16, cycles runs once per element of
+    each distinct walked factor, however many types share it, and every
+    memo value is a tuple, so no caller can change what the next one reads.
+    """
+    calls = Counter()
+
+    def counting(word):
+        calls["cycles"] += 1
+        return cycles(word)
+
+    cycles = perms.cycles
+    monkeypatch.setattr(perms, "cycles", counting)
+    _walked_wreath_distribution.cache_clear()
+    types = [mu for n in range(1, 17) for mu in partitions(n) if in_alternating(mu)]
+    assert len(types) == 473
+    for mu in types:
+        an_inner_products(mu)
+    walked = {(length, k) for mu in types if max(Counter(mu).values()) <= 2 for length, k in Counter(mu).items()}
+    assert calls["cycles"] == sum(length if k == 1 else 2 * length**2 for length, k in walked)
+    assert _walked_wreath_distribution.cache_info().currsize == len(walked)
+    assert all(isinstance(_walked_wreath_distribution(length, k), tuple) for length, k in walked)
+
+
 def test_a_large_split_type_takes_the_walk(monkeypatch):
     """(15, 13, 11, 9, 7, 5, 1) has 675,675 centralizer elements, but its walk visits only 61.
 
