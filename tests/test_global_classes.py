@@ -389,12 +389,12 @@ def test_the_walk_visits_each_factor_once_per_process(monkeypatch):
     memo value is a tuple, so no caller can change what the next one reads.
     """
     calls = Counter()
+    cycles = perms.cycles
 
     def counting(word):
         calls["cycles"] += 1
         return cycles(word)
 
-    cycles = perms.cycles
     monkeypatch.setattr(perms, "cycles", counting)
     _walked_wreath_distribution.cache_clear()
     types = [mu for n in range(1, 17) for mu in partitions(n) if in_alternating(mu)]
